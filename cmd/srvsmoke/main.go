@@ -55,19 +55,21 @@ func main() {
 		fatal(fmt.Errorf("second compile not a cache hit: %+v vs key %s", comp2, comp.Key))
 	}
 
-	// 3. Run twice on the fast path: second must be memoized and identical.
-	runReq := map[string]any{"source": string(src), "run": map[string]any{"fast": true}}
-	var run1, run2 struct {
+	// 3. Run twice on the native tier: second must be memoized and
+	// identical.
+	runReq := map[string]any{"source": string(src), "run": map[string]any{"tier": "native"}}
+	type tierRun struct {
 		CachedResult bool   `json:"cached_result"`
-		Fast         bool   `json:"fast"`
+		Tier         string `json:"tier"`
 		Exit         int32  `json:"exit"`
 		Output       string `json:"output"`
 		Stats        struct {
 			Beats int64 `json:"beats"`
 		} `json:"stats"`
 	}
+	var run1, run2 tierRun
 	postJSON(client, base+"/run", runReq, &run1)
-	if !run1.Fast || run1.Stats.Beats == 0 {
+	if run1.Tier != "native" || run1.Stats.Beats == 0 {
 		fatal(fmt.Errorf("run: implausible response %+v", run1))
 	}
 	postJSON(client, base+"/run", runReq, &run2)
@@ -75,28 +77,33 @@ func main() {
 		fatal(fmt.Errorf("memoized run diverged: %+v vs %+v", run2, run1))
 	}
 
-	// 4. Run on the guard-free safe tier and the closure-threaded native
-	// tier by name: each result must match the fast run exactly (stronger
-	// certificates change how the image executes, never what it computes).
-	type tierRun struct {
-		Tier   string `json:"tier"`
-		Fast   bool   `json:"fast"`
-		Safe   bool   `json:"safe"`
-		Exit   int32  `json:"exit"`
-		Output string `json:"output"`
-		Stats  struct {
-			Beats int64 `json:"beats"`
-		} `json:"stats"`
+	// 4. Run on the checked tier by name: the result must match the native
+	// run exactly (certificates change how the image executes, never what
+	// it computes). The retired "fast" and "safe" names are bad requests.
+	var checked tierRun
+	postJSON(client, base+"/run",
+		map[string]any{"source": string(src), "run": map[string]any{"tier": "checked"}}, &checked)
+	if checked.Tier != "checked" {
+		fatal(fmt.Errorf("checked run not on the checked tier: %+v", checked))
 	}
-	for _, tier := range []string{"safe", "native"} {
-		var got tierRun
-		postJSON(client, base+"/run",
-			map[string]any{"source": string(src), "run": map[string]any{"tier": tier}}, &got)
-		if got.Tier != tier || !got.Safe || !got.Fast {
-			fatal(fmt.Errorf("%s run not on the %s tier: %+v", tier, tier, got))
+	if checked.Exit != run1.Exit || checked.Output != run1.Output || checked.Stats.Beats != run1.Stats.Beats {
+		fatal(fmt.Errorf("checked tier diverged from native: %+v vs %+v", checked, run1))
+	}
+	for _, tier := range []string{"fast", "safe"} {
+		raw, _ := json.Marshal(map[string]any{"source": string(src), "run": map[string]any{"tier": tier}})
+		resp, err := client.Post(base+"/run", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			fatal(err)
 		}
-		if got.Exit != run1.Exit || got.Output != run1.Output || got.Stats.Beats != run1.Stats.Beats {
-			fatal(fmt.Errorf("%s tier diverged from fast: %+v vs %+v", tier, got, run1))
+		var body struct {
+			Error struct {
+				Kind string `json:"kind"`
+			} `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || body.Error.Kind != "bad_request" {
+			fatal(fmt.Errorf("tier %q: want a 400 bad_request, got status %d, %+v", tier, resp.StatusCode, body))
 		}
 	}
 
@@ -143,11 +150,7 @@ func main() {
 		RunCache struct {
 			Hits int64 `json:"hits"`
 		} `json:"run_cache"`
-		CertLevel struct {
-			Fast   int64 `json:"fast"`
-			Safe   int64 `json:"safe"`
-			Native int64 `json:"native"`
-		} `json:"cert_level"`
+		CertLevel map[string]int64 `json:"cert_level"`
 	}
 	err = json.NewDecoder(mresp.Body).Decode(&metrics)
 	mresp.Body.Close()
@@ -157,11 +160,13 @@ func main() {
 	if metrics.ArtifactCache.Hits == 0 || metrics.RunCache.Hits == 0 {
 		fatal(fmt.Errorf("metrics did not record cache hits: %+v", metrics))
 	}
-	if metrics.CertLevel.Fast == 0 || metrics.CertLevel.Safe == 0 || metrics.CertLevel.Native == 0 {
-		fatal(fmt.Errorf("metrics did not record the run tiers: %+v", metrics.CertLevel))
+	// cert_level counts runs per tier: exactly checked and native, both hit.
+	cl := metrics.CertLevel
+	if len(cl) != 2 || cl["checked"] == 0 || cl["native"] == 0 {
+		fatal(fmt.Errorf("metrics did not record the run tiers as {checked, native}: %+v", cl))
 	}
 
-	fmt.Println("srvsmoke: ok (compile, cache hit, run, memoized run, safe tier, native tier, lint, structured error, metrics)")
+	fmt.Println("srvsmoke: ok (compile, cache hit, native run, memoized run, checked tier, retired tiers refused, lint, structured error, metrics)")
 }
 
 func postJSON(client *http.Client, url string, body any, out any) {

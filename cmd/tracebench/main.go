@@ -7,8 +7,7 @@
 //	tracebench -exp e1     run one experiment (e1..e12, f1)
 //	tracebench -list       list experiments
 //	tracebench -j N        bound the compiler's backend worker pool
-//	tracebench -tier T     simulate on the named tier (same tables);
-//	                       -fast is a deprecated alias for -tier=fast
+//	tracebench -tier T     simulate on the named tier (same tables)
 package main
 
 import (
@@ -26,19 +25,11 @@ func main() {
 	exp := flag.String("exp", "all", "experiment id (e1..e12, f1, all)")
 	list := flag.Bool("list", false, "list experiments")
 	jobs := flag.Int("j", 0, "compiler backend worker pool size (0 = one per CPU, 1 = sequential)")
-	tierName := flag.String("tier", "", "execution tier for the simulations: checked (default), fast, safe, or native (tables are identical)")
-	fast := flag.Bool("fast", false, "deprecated: alias for -tier=fast")
+	tierName := flag.String("tier", "", "execution tier for the simulations: checked (default) or native (tables are identical)")
 	flag.Parse()
 	xp.Parallelism = *jobs
-	reqTier, err := vliw.ParseTier(*tierName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracebench:", err)
-		os.Exit(2)
-	}
-	if *fast {
-		fmt.Fprintln(os.Stderr, "tracebench: -fast is deprecated; use -tier=fast")
-	}
-	xp.Tier, err = vliw.ResolveTier(reqTier, *fast, false)
+	var err error
+	xp.Tier, err = vliw.ParseTier(*tierName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracebench:", err)
 		os.Exit(2)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tracesim [-pairs N] [-O level] [-profile] [-j N] [-verify] [-time-passes]
-//	         [-trace] [-baselines] [-tier T|-checked] [-max-cycles N]
+//	         [-trace] [-baselines] [-tier T] [-max-cycles N]
 //	         [-snapshot-at N] [-snapshot-file F] [-resume F]
 //	         [-contexts K] [-quantum N] [-switch-beats N] prog.mf [prog2.mf ...]
 //
@@ -14,15 +14,13 @@
 // stall latency the time-sharing hid. A single file with -contexts K runs
 // K copies of that program.
 //
-// The execution tier is -tier=checked (per-beat dynamic resource checking,
-// the default), -tier=fast (statically certified, resource/race checks
-// skipped), -tier=safe (fast plus guard-free execution of every memory and
-// divide site the value-range safety analysis proves can never fault), or
-// -tier=native (the safe grade with the image translated once into
-// closure-threaded code — no per-slot dispatch or operand re-decode). All
-// tiers produce bit-identical results; only speed and how much dynamic
-// checking remains differ. The deprecated -fast and -fast=safe spellings
-// are aliases for -tier=fast and -tier=safe.
+// The execution tier is -tier=checked (the reference interpreter with
+// per-beat dynamic resource checking, the default) or -tier=native (the
+// image statically certified, then translated once into closure-threaded
+// code — no per-slot dispatch or operand re-decode, no resource/race
+// checks, and no guard at any memory or divide site the value-range safety
+// analysis proves can never fault). Both tiers produce bit-identical
+// results; only speed and how much dynamic checking remains differ.
 //
 // With -snapshot-at N the run pauses at beat N and serializes the complete
 // machine-context state to -snapshot-file; a later invocation with the same
@@ -57,10 +55,7 @@ func main() {
 	timePasses := flag.Bool("time-passes", false, "print per-pass compile timing to stderr")
 	jobs := flag.Int("j", 0, "backend worker pool size (0 = one per CPU, 1 = sequential)")
 	maxCycles := flag.Int64("max-cycles", 50_000_000, "beat budget before a runaway program is killed")
-	tierName := flag.String("tier", "", "execution tier: checked (default), fast, safe, or native")
-	var fast tierFlag
-	flag.Var(&fast, "fast", "deprecated: -fast is -tier=fast, -fast=safe is -tier=safe")
-	checked := flag.Bool("checked", true, "run with per-beat dynamic resource checking (the default)")
+	tierName := flag.String("tier", "", "execution tier: checked (default) or native")
 	snapshotAt := flag.Int64("snapshot-at", 0, "pause at this beat and serialize the context to -snapshot-file")
 	snapshotFile := flag.String("snapshot-file", "tracesim.snap", "where -snapshot-at writes the checkpoint")
 	resume := flag.String("resume", "", "restore the context from this snapshot file and continue the run")
@@ -68,21 +63,9 @@ func main() {
 	quantum := flag.Int64("quantum", 0, "context-scheduler timeslice in beats (0 = default)")
 	switchBeats := flag.Int64("switch-beats", 0, "wall-clock beats charged per context rotation")
 	flag.Parse()
-	reqTier, err := vliw.ParseTier(*tierName)
+	tier, err := vliw.ParseTier(*tierName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracesim:", err)
-		os.Exit(2)
-	}
-	if fast.fast {
-		fmt.Fprintln(os.Stderr, "tracesim: -fast is deprecated; use -tier=fast (or -tier=safe for -fast=safe)")
-	}
-	tier, err := vliw.ResolveTier(reqTier, fast.fast, fast.safe)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracesim:", err)
-		os.Exit(2)
-	}
-	if tier != vliw.TierChecked && isFlagSet("checked") && *checked {
-		fmt.Fprintln(os.Stderr, "tracesim: -tier/-fast and -checked are mutually exclusive")
 		os.Exit(2)
 	}
 	if flag.NArg() < 1 {
@@ -147,8 +130,7 @@ func main() {
 	if *maxCycles > 0 {
 		m.CycleLimit = *maxCycles
 	}
-	switch tier {
-	case vliw.TierNative:
+	if tier == vliw.TierNative {
 		cert, err := art.CertifySafe()
 		if err != nil {
 			fatal(fmt.Errorf("-tier=native: %w", err))
@@ -158,24 +140,6 @@ func main() {
 		}
 		proven, total := cert.ProvenSites()
 		fmt.Fprintf(os.Stderr, "tracesim: native tier: %d/%d guarded sites proven, image translated to closure code\n", proven, total)
-	case vliw.TierSafe:
-		cert, err := art.CertifySafe()
-		if err != nil {
-			fatal(fmt.Errorf("-tier=safe: %w", err))
-		}
-		if err := m.UseSafeCertificate(cert); err != nil {
-			fatal(err)
-		}
-		proven, total := cert.ProvenSites()
-		fmt.Fprintf(os.Stderr, "tracesim: safe tier: %d/%d guarded sites proven, guards deleted\n", proven, total)
-	case vliw.TierFast:
-		cert, err := art.Certificate()
-		if err != nil {
-			fatal(fmt.Errorf("-tier=fast: %w", err))
-		}
-		if err := m.UseCertificate(cert); err != nil {
-			fatal(err)
-		}
 	}
 	if *traceExec {
 		last := -2
@@ -361,52 +325,4 @@ func trunc(s string, n int) string {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "tracesim:", err)
 	os.Exit(1)
-}
-
-// tierFlag is the deprecated -fast flag's value: a boolean flag (a bare
-// -fast arms the certified fast path) that also accepts -fast=safe to
-// select the guard-free safe tier, which implies fast. New invocations
-// should use -tier instead.
-type tierFlag struct {
-	fast bool
-	safe bool
-}
-
-func (f *tierFlag) String() string {
-	switch {
-	case f.safe:
-		return "safe"
-	case f.fast:
-		return "true"
-	}
-	return "false"
-}
-
-func (f *tierFlag) Set(s string) error {
-	switch s {
-	case "safe":
-		f.fast, f.safe = true, true
-	case "fast", "true", "1":
-		f.fast, f.safe = true, false
-	case "false", "0":
-		f.fast, f.safe = false, false
-	default:
-		return fmt.Errorf("want true/false/1/0/fast/safe, got %q", s)
-	}
-	return nil
-}
-
-// IsBoolFlag lets a bare -fast (no value) mean -fast=true.
-func (f *tierFlag) IsBoolFlag() bool { return true }
-
-// isFlagSet reports whether the named flag was given explicitly, so the
-// default -checked=true does not conflict with -fast.
-func isFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
 }

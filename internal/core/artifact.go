@@ -103,8 +103,8 @@ func (a *Artifact) lintLocked() *schedcheck.Report {
 }
 
 // Certificate statically verifies the image (once — the result is cached
-// on the artifact, shared by every subsequent fast run) and mints the
-// certificate that authorizes the simulator's fast path.
+// on the artifact) and mints the resource certificate that authorizes the
+// simulator to skip its dynamic resource and write-race checks.
 func (a *Artifact) Certificate() (*schedcheck.Certificate, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -118,7 +118,7 @@ func (a *Artifact) Certificate() (*schedcheck.Certificate, error) {
 // Safety runs the value-range safety analysis (internal/safecheck) over the
 // image and returns its per-site report: every load/store/divide/indirect
 // jump, classified proven-safe or unprovable with func:line attribution.
-// Computed once and cached; shared by every subsequent safe run.
+// Computed once and cached; shared by every subsequent native run.
 func (a *Artifact) Safety() *safecheck.Report {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -136,11 +136,11 @@ func (a *Artifact) safetyLocked() *safecheck.Report {
 
 // CertifySafe mints the graded safety certificate: the resource certificate
 // (Certificate) extended with the safety analysis' per-site proof bitmask.
-// It authorizes the simulator's safe tier — guard-free execution of proven
-// sites via RunOptions.Safe or vliw.Machine.UseSafeCertificate. Minting
-// requires only that the image certifies at the resource level; an image
-// with zero proven sites still gets a certificate (its safe tier simply
-// equals the fast tier). Minted once and cached on the artifact.
+// It arms the native tier with guard-free execution of proven sites
+// (RunOptions{Tier: vliw.TierNative}, vliw.Machine.UseNativeCertificate).
+// Minting requires only that the image certifies at the resource level; an
+// image with zero proven sites still gets a certificate (every guard simply
+// stays). Minted once and cached on the artifact.
 func (a *Artifact) CertifySafe() (*safecheck.SafeCertificate, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -166,22 +166,11 @@ func (a *Artifact) Machine() *vliw.Machine { return vliw.New(a.res.Image) }
 
 // RunOptions configures one execution of an artifact.
 type RunOptions struct {
-	// Tier selects the execution tier: checked (the zero value), fast,
-	// safe, or native. Each tier reuses the artifact's cached certificate
-	// of the matching grade (Certificate for fast, CertifySafe for safe and
-	// native), minted on first use. Results — exit, output, and every Stats
-	// counter — are bit-identical across tiers.
+	// Tier selects the execution tier: checked (the zero value) or
+	// native. The native tier reuses the artifact's cached CertifySafe
+	// certificate, minted on first use. Results — exit, output, and every
+	// Stats counter — are bit-identical across tiers.
 	Tier vliw.Tier
-	// Fast selects the certified fast path.
-	//
-	// Deprecated: set Tier to vliw.TierFast. When Tier is set, Fast may
-	// only name the same or a weaker tier; a stronger boolean conflicts
-	// (*vliw.ErrTierConflict).
-	Fast bool
-	// Safe selects the safe tier (guard-free proven sites; implies Fast).
-	//
-	// Deprecated: set Tier to vliw.TierSafe. Conflict rules as for Fast.
-	Safe bool
 	// MaxCycles overrides the machine's beat budget (0 keeps the default).
 	MaxCycles int64
 	// SnapshotAt pauses the run at the first instruction boundary where the
@@ -205,14 +194,6 @@ type ExitResult struct {
 	Stats  vliw.Stats
 	// Tier records the execution tier the run actually took.
 	Tier vliw.Tier
-	// Fast records whether the run took at least the certified fast path.
-	//
-	// Deprecated: compare Tier instead; Fast is Tier >= vliw.TierFast.
-	Fast bool
-	// Safe records whether the run took at least the guard-free safe tier.
-	//
-	// Deprecated: compare Tier instead; Safe is Tier >= vliw.TierSafe.
-	Safe bool
 	// Paused reports the run checkpointed at RunOptions.SnapshotAt instead
 	// of completing; Exit is meaningless and Output/Stats are the partial
 	// values so far.
@@ -259,6 +240,22 @@ func (a *Artifact) RunFromOn(ctx context.Context, m *vliw.Machine, snapshot []by
 	return a.runPrepared(ctx, m, o)
 }
 
+// arm puts every context of m running the artifact's image onto the tier:
+// the native tier is armed with the cached CertifySafe certificate.
+func (a *Artifact) arm(m *vliw.Machine, tier vliw.Tier) error {
+	switch tier {
+	case vliw.TierChecked:
+		return nil
+	case vliw.TierNative:
+		cert, err := a.CertifySafe()
+		if err != nil {
+			return fmt.Errorf("native tier: %w", err)
+		}
+		return m.UseNativeCertificate(cert)
+	}
+	return fmt.Errorf("unknown execution tier %v", tier)
+}
+
 // runPrepared applies the run options to a machine already holding the
 // execution state (booted-fresh or snapshot-restored) and runs it,
 // translating pauses and interrupts into snapshots as requested.
@@ -269,39 +266,11 @@ func (a *Artifact) runPrepared(ctx context.Context, m *vliw.Machine, o RunOption
 	if o.SnapshotAt > 0 {
 		m.StopBeat = o.SnapshotAt
 	}
-	tier, err := vliw.ResolveTier(o.Tier, o.Fast, o.Safe)
-	if err != nil {
+	if err := a.arm(m, o.Tier); err != nil {
 		return ExitResult{}, err
 	}
-	switch tier {
-	case vliw.TierNative:
-		cert, err := a.CertifySafe()
-		if err != nil {
-			return ExitResult{}, fmt.Errorf("native tier: %w", err)
-		}
-		if err := m.UseNativeCertificate(cert); err != nil {
-			return ExitResult{}, err
-		}
-	case vliw.TierSafe:
-		cert, err := a.CertifySafe()
-		if err != nil {
-			return ExitResult{}, fmt.Errorf("safe tier: %w", err)
-		}
-		if err := m.UseSafeCertificate(cert); err != nil {
-			return ExitResult{}, err
-		}
-	case vliw.TierFast:
-		cert, err := a.Certificate()
-		if err != nil {
-			return ExitResult{}, fmt.Errorf("fast path: %w", err)
-		}
-		if err := m.UseCertificate(cert); err != nil {
-			return ExitResult{}, err
-		}
-	}
 	v, out, err := m.RunContext(ctx)
-	got := m.Tier()
-	res := ExitResult{Exit: v, Output: out, Stats: m.Stats, Tier: got, Fast: got >= vliw.TierFast, Safe: got >= vliw.TierSafe}
+	res := ExitResult{Exit: v, Output: out, Stats: m.Stats, Tier: m.Tier()}
 	var stop *vliw.ErrStopped
 	if errors.As(err, &stop) {
 		snap, serr := m.Contexts()[0].Snapshot()

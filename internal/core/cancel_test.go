@@ -55,7 +55,7 @@ func TestBuildArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Checked and fast runs agree with each other and the interpreter.
+	// Checked and native runs agree with each other and the interpreter.
 	wantV, wantOut, err := Interpret(art.Result())
 	if err != nil {
 		t.Fatal(err)
@@ -64,21 +64,24 @@ func TestBuildArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if checked.Fast {
-		t.Error("zero RunOptions took the fast path")
+	if checked.Tier != vliw.TierChecked {
+		t.Errorf("zero RunOptions ran on the %v tier", checked.Tier)
 	}
-	fast, err := art.Run(context.Background(), RunOptions{Fast: true})
+	native, err := art.Run(context.Background(), RunOptions{Tier: vliw.TierNative})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fast.Fast {
-		t.Error("RunOptions{Fast} did not take the fast path")
+	if native.Tier != vliw.TierNative {
+		t.Errorf("RunOptions{Tier: native} ran on the %v tier", native.Tier)
+	}
+	if _, err := art.Run(context.Background(), RunOptions{Tier: vliw.Tier(17)}); err == nil {
+		t.Error("an out-of-range tier ran")
 	}
 	if checked.Exit != wantV || checked.Output != wantOut {
 		t.Errorf("checked run = %d %q, interpreter = %d %q", checked.Exit, checked.Output, wantV, wantOut)
 	}
-	if fast.Exit != checked.Exit || fast.Output != checked.Output || fast.Stats != checked.Stats {
-		t.Errorf("fast and checked runs diverge:\n%+v\n%+v", fast, checked)
+	if native.Exit != checked.Exit || native.Output != checked.Output || native.Stats != checked.Stats {
+		t.Errorf("native and checked runs diverge:\n%+v\n%+v", native, checked)
 	}
 }
 
@@ -121,12 +124,12 @@ func TestArtifactRunOnPooledMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := new(vliw.Machine)
-	first, err := art.RunOn(context.Background(), m, RunOptions{Fast: true})
+	first, err := art.RunOn(context.Background(), m, RunOptions{Tier: vliw.TierNative})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Reusing the same machine must reproduce the run exactly.
-	second, err := art.RunOn(context.Background(), m, RunOptions{Fast: true})
+	second, err := art.RunOn(context.Background(), m, RunOptions{Tier: vliw.TierNative})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,9 +311,9 @@ func TestFuzzBasicBlockOnly(t *testing.T) {
 	}
 }
 
-// TestRunSource exercises the one-call convenience wrapper.
+// TestRunSource takes source text to an exit value through the Artifact API.
 func TestRunSource(t *testing.T) {
-	v, out, m, err := RunSource(`
+	art, err := Build(context.Background(), `
 func main() int {
 	print_i(7)
 	return 42
@@ -321,10 +321,14 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != 42 || out != "7\n" {
-		t.Fatalf("got %d %q", v, out)
+	res, err := art.Run(context.Background(), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Stats.Instrs == 0 {
+	if res.Exit != 42 || res.Output != "7\n" {
+		t.Fatalf("got %d %q", res.Exit, res.Output)
+	}
+	if res.Stats.Instrs == 0 {
 		t.Error("machine reported no instructions")
 	}
 }

@@ -13,19 +13,10 @@ import (
 // on a single machine's hardware contexts.
 type RunManyOptions struct {
 	// Tier puts every context onto the named execution tier: checked (the
-	// zero value), fast, safe, or native. All-or-nothing per call: if any
-	// artifact in the batch fails to certify at the requested grade,
-	// RunMany errors rather than silently mixing tiers across tenants.
+	// zero value) or native. All-or-nothing per call: if any artifact in
+	// the batch fails to certify, RunMany errors rather than silently
+	// mixing tiers across tenants.
 	Tier vliw.Tier
-	// Fast puts every context onto the certified fast path.
-	//
-	// Deprecated: set Tier to vliw.TierFast. When Tier is set, a boolean
-	// implying a stronger tier conflicts (*vliw.ErrTierConflict).
-	Fast bool
-	// Safe puts every context onto the guard-free safe tier.
-	//
-	// Deprecated: set Tier to vliw.TierSafe. Conflict rules as for Fast.
-	Safe bool
 	// MaxCycles overrides the per-context beat budget (0 keeps the
 	// default). A context exceeding it retires with *vliw.ErrCycleLimit in
 	// its ManyResult; the rest run on.
@@ -58,10 +49,6 @@ type ManyResult struct {
 	Stats  vliw.Stats
 	// Tier records the execution tier this context actually ran on.
 	Tier vliw.Tier
-	// Fast reports Tier >= vliw.TierFast. Deprecated: compare Tier.
-	Fast bool
-	// Safe reports Tier >= vliw.TierSafe. Deprecated: compare Tier.
-	Safe bool
 	Err  error
 	// Snapshot is the tenant's resume point, present only under
 	// RunManyOptions.SnapshotOnInterrupt for tenants that were preempted
@@ -117,44 +104,15 @@ func RunManyOn(ctx context.Context, m *vliw.Machine, arts []*Artifact, o RunMany
 	if o.SwitchBeats > 0 {
 		m.SwitchBeats = o.SwitchBeats
 	}
-	tier, err := vliw.ResolveTier(o.Tier, o.Fast, o.Safe)
-	if err != nil {
-		return nil, vliw.SchedStats{}, err
-	}
-	if tier != vliw.TierChecked {
-		certified := make(map[*isa.Image]bool, len(arts))
-		for i, a := range arts {
-			if certified[a.Image()] {
-				continue
-			}
-			switch tier {
-			case vliw.TierNative:
-				cert, err := a.CertifySafe()
-				if err != nil {
-					return nil, vliw.SchedStats{}, fmt.Errorf("native tier (context %d): %w", i, err)
-				}
-				if err := m.UseNativeCertificate(cert); err != nil {
-					return nil, vliw.SchedStats{}, err
-				}
-			case vliw.TierSafe:
-				cert, err := a.CertifySafe()
-				if err != nil {
-					return nil, vliw.SchedStats{}, fmt.Errorf("safe tier (context %d): %w", i, err)
-				}
-				if err := m.UseSafeCertificate(cert); err != nil {
-					return nil, vliw.SchedStats{}, err
-				}
-			case vliw.TierFast:
-				cert, err := a.Certificate()
-				if err != nil {
-					return nil, vliw.SchedStats{}, fmt.Errorf("fast path (context %d): %w", i, err)
-				}
-				if err := m.UseCertificate(cert); err != nil {
-					return nil, vliw.SchedStats{}, err
-				}
-			}
-			certified[a.Image()] = true
+	certified := make(map[*isa.Image]bool, len(arts))
+	for i, a := range arts {
+		if certified[a.Image()] {
+			continue
 		}
+		if err := a.arm(m, o.Tier); err != nil {
+			return nil, vliw.SchedStats{}, fmt.Errorf("context %d: %w", i, err)
+		}
+		certified[a.Image()] = true
 	}
 	crs, err := m.RunMany(ctx)
 	if crs == nil {
@@ -163,8 +121,7 @@ func RunManyOn(ctx context.Context, m *vliw.Machine, arts []*Artifact, o RunMany
 	ctxs := m.Contexts()
 	rs := make([]ManyResult, len(crs))
 	for i, cr := range crs {
-		ct := ctxs[i].Tier()
-		rs[i] = ManyResult{Exit: cr.Exit, Output: cr.Output, Stats: cr.Stats, Tier: ct, Fast: ct >= vliw.TierFast, Safe: ct >= vliw.TierSafe, Err: cr.Err}
+		rs[i] = ManyResult{Exit: cr.Exit, Output: cr.Output, Stats: cr.Stats, Tier: ctxs[i].Tier(), Err: cr.Err}
 		if !o.SnapshotOnInterrupt {
 			continue
 		}

@@ -46,37 +46,36 @@ func buildMany(t *testing.T, opts Options) []*Artifact {
 }
 
 // TestRunManyMatchesSolo: the batch entry point produces, for every
-// artifact, exactly what a solo Artifact.Run produces — checked and on the
-// certified fast path.
+// artifact, exactly what a solo Artifact.Run produces — on both tiers.
 func TestRunManyMatchesSolo(t *testing.T) {
 	opts := Options{Config: mach.Trace7(), Opt: opt.Default()}
 	arts := buildMany(t, opts)
-	for _, fast := range []bool{false, true} {
+	for _, tier := range []vliw.Tier{vliw.TierChecked, vliw.TierNative} {
 		solo := make([]ExitResult, len(arts))
 		for i, a := range arts {
-			r, err := a.Run(context.Background(), RunOptions{Fast: fast})
+			r, err := a.Run(context.Background(), RunOptions{Tier: tier})
 			if err != nil {
 				t.Fatal(err)
 			}
 			solo[i] = r
 		}
-		rs, sched, err := RunMany(context.Background(), arts, RunManyOptions{Fast: fast})
+		rs, sched, err := RunMany(context.Background(), arts, RunManyOptions{Tier: tier})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, r := range rs {
 			if r.Err != nil {
-				t.Fatalf("fast=%v context %d: %v", fast, i, r.Err)
+				t.Fatalf("%v context %d: %v", tier, i, r.Err)
 			}
 			if r.Exit != solo[i].Exit || r.Output != solo[i].Output || r.Stats != solo[i].Stats {
-				t.Errorf("fast=%v context %d diverges from solo run", fast, i)
+				t.Errorf("%v context %d diverges from solo run", tier, i)
 			}
-			if r.Fast != fast {
-				t.Errorf("fast=%v context %d: Fast=%v", fast, i, r.Fast)
+			if r.Tier != tier {
+				t.Errorf("%v context %d ran on the %v tier", tier, i, r.Tier)
 			}
 		}
 		if sched.Contexts != len(arts) || sched.TotalBeats == 0 {
-			t.Errorf("fast=%v sched: %+v", fast, sched)
+			t.Errorf("%v sched: %+v", tier, sched)
 		}
 	}
 }
@@ -90,7 +89,7 @@ func TestRunManyOnPooledMachine(t *testing.T) {
 	batch := []*Artifact{arts[0], arts[1], arts[0], arts[2]}
 	var first []ManyResult
 	for round := 0; round < 3; round++ {
-		rs, _, err := RunManyOn(context.Background(), m, batch, RunManyOptions{Fast: true})
+		rs, _, err := RunManyOn(context.Background(), m, batch, RunManyOptions{Tier: vliw.TierNative})
 		if err != nil {
 			t.Fatal(err)
 		}

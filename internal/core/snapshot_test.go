@@ -36,18 +36,18 @@ func assertMatchesRef(t *testing.T, label string, got, ref ExitResult) {
 
 func TestArtifactSnapshotAtAndRunFrom(t *testing.T) {
 	art, ref := buildDemo(t)
-	for _, fast := range []bool{false, true} {
+	for _, tier := range []vliw.Tier{vliw.TierChecked, vliw.TierNative} {
 		out, err := art.Run(context.Background(), RunOptions{
-			Fast: fast, SnapshotAt: ref.Stats.Beats / 2})
+			Tier: tier, SnapshotAt: ref.Stats.Beats / 2})
 		if err != nil {
-			t.Fatalf("fast=%v: split run: %v", fast, err)
+			t.Fatalf("%v: split run: %v", tier, err)
 		}
 		if !out.Paused || out.Snapshot == nil {
-			t.Fatalf("fast=%v: run did not pause at beat %d: %+v", fast, ref.Stats.Beats/2, out)
+			t.Fatalf("%v: run did not pause at beat %d: %+v", tier, ref.Stats.Beats/2, out)
 		}
-		final, err := art.RunFrom(context.Background(), out.Snapshot, RunOptions{Fast: fast})
+		final, err := art.RunFrom(context.Background(), out.Snapshot, RunOptions{Tier: tier})
 		if err != nil {
-			t.Fatalf("fast=%v: resume: %v", fast, err)
+			t.Fatalf("%v: resume: %v", tier, err)
 		}
 		assertMatchesRef(t, "resumed run", final, ref)
 	}

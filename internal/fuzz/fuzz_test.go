@@ -47,11 +47,11 @@ func TestOracleCleanOnSeeds(t *testing.T) {
 	}
 }
 
-// TestTierMatrixCleanOnSeeds runs the four-way tier oracle (checked, fast,
-// safe, native) over a seed range: every image that runs must produce
-// identical exit, output, fault, and Stats on all four tiers. This is the
-// seed-level smoke of the `tracefuzz -tier=native` campaign in
-// scripts/check.sh.
+// TestTierMatrixCleanOnSeeds runs the tier oracle (checked, and native
+// under the resource and the safety certificate) over a seed range: every
+// image that runs must produce identical exit, output, fault, and Stats on
+// all three legs. This is the seed-level smoke of the `tracefuzz
+// -tier=native` campaign in scripts/check.sh.
 func TestTierMatrixCleanOnSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full oracle is slow")
@@ -64,7 +64,7 @@ func TestTierMatrixCleanOnSeeds(t *testing.T) {
 }
 
 // TestTimeshareCleanOnSeeds runs the multi-context stage over a seed range,
-// checked and fast: every generated program must reproduce its solo exit,
+// checked and native: every generated program must reproduce its solo exit,
 // output, and counters when time-shared four to a machine. A divergence is
 // a context-scheduler bug by definition — the solo runs already agreed with
 // the reference oracle.
@@ -72,17 +72,17 @@ func TestTimeshareCleanOnSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full timeshare oracle is slow")
 	}
-	for _, fast := range []bool{false, true} {
-		if err := CheckTimeshareSeeds(context.Background(), 1, 8, Options{Fast: fast}); err != nil && !errors.Is(err, ErrSkip) {
-			t.Errorf("fast=%v: %v", fast, err)
+	for _, tier := range []vliw.Tier{vliw.TierChecked, vliw.TierNative} {
+		if err := CheckTimeshareSeeds(context.Background(), 1, 8, Options{Tier: tier}); err != nil && !errors.Is(err, ErrSkip) {
+			t.Errorf("%v: %v", tier, err)
 		}
 	}
 }
 
 // TestSnapshotCleanOnSeeds runs the checkpoint/restore stage over a seed
 // range: every generated program split at random beats must reproduce its
-// uninterrupted exit, output, and counters, checked and fast, and a
-// corrupted snapshot must be refused.
+// uninterrupted exit, output, and counters, checked and on the native tier
+// under a resource certificate, and a corrupted snapshot must be refused.
 func TestSnapshotCleanOnSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full snapshot oracle is slow")

@@ -47,26 +47,64 @@ type Options struct {
 	// Tier selects the oracle's execution-tier regime. TierChecked (the
 	// zero value) runs the checked tier only — the strongest single-tier
 	// oracle, cross-checking the static verifier against the dynamic one.
-	// TierFast runs each image on the certified fast path instead, for
-	// throughput-oriented campaigns where the lint stage alone carries the
-	// legality burden. TierSafe and TierNative upgrade the oracle to the
-	// full four-way tier matrix: every image that runs also executes on the
-	// fast path, the guard-free safe tier, and the closure-threaded native
-	// tier, and all four runs must agree on the exit value, the output, the
-	// fault, and every Stats counter. The timeshare and snapshot stages run
-	// on the named tier itself, so -tier=native composes certificate-armed
-	// translation with context time-sharing and checkpoint/restore.
+	// TierNative upgrades the oracle to the tier matrix: every image that
+	// runs also executes on the native tier armed with the bare resource
+	// certificate and with the safety certificate, and all three runs must
+	// agree on the exit value, the output, the fault, and every Stats
+	// counter. The timeshare and snapshot stages run the native legs too.
 	Tier vliw.Tier
-	// Fast is the deprecated spelling of Tier: vliw.TierFast.
-	Fast bool
-	// Safe is the deprecated spelling of Tier: vliw.TierSafe (the tier
-	// matrix — now four-way, including the native tier).
-	Safe bool
 }
 
-// resolve folds the deprecated booleans into the Tier field.
-func (o Options) resolve() (vliw.Tier, error) {
-	return vliw.ResolveTier(o.Tier, o.Fast, o.Safe)
+// native reports whether the regime adds the native legs.
+func (o Options) native() (bool, error) {
+	if o.Tier != vliw.TierChecked && o.Tier != vliw.TierNative {
+		return false, fmt.Errorf("fuzz: unknown execution tier %v", o.Tier)
+	}
+	return o.Tier == vliw.TierNative, nil
+}
+
+// leg is one execution the oracle compares: the checked interpreter (nil
+// cert) or the native tier armed with cert.
+type leg struct {
+	name string
+	cert vliw.Certificate
+}
+
+var checkedLeg = leg{name: "checked"}
+
+// nativeLegs mints both certificate grades for exactly this image from its
+// clean lint report — the safety analysis runs once — and returns the
+// native tier armed with each. An image that cannot certify after a clean
+// lint is itself a schedcheck bug, so the error is returned for the oracle
+// to flag. On a fuzz input nothing may be provable at the safety grade,
+// which is fine: an empty bitmask still exercises the arming and
+// containment machinery.
+func nativeLegs(img *isa.Image, rep *schedcheck.Report) ([]leg, error) {
+	cert, err := rep.Certify()
+	if err != nil {
+		return nil, fmt.Errorf("lint passed but certification failed: %w", err)
+	}
+	scert, err := safecheck.Analyze(img, safecheck.Options{}).Certify(cert)
+	if err != nil {
+		return nil, fmt.Errorf("resource certificate minted but safety grading failed: %w", err)
+	}
+	return []leg{{"native/resource", cert}, {"native/safe", scert}}, nil
+}
+
+// load resets m onto img with the beat budget, restores snap when given,
+// and arms the leg (after the restore, as Artifact.RunFrom does).
+func (l leg) load(m *vliw.Machine, img *isa.Image, maxCycles int64, snap []byte) error {
+	m.Reset(img)
+	m.CycleLimit = maxCycles
+	if snap != nil {
+		if err := m.Contexts()[0].Restore(snap); err != nil {
+			return err
+		}
+	}
+	if l.cert == nil {
+		return nil
+	}
+	return m.UseNativeCertificate(l.cert)
 }
 
 // machinePool recycles simulator machines across oracle runs. A machine
@@ -75,83 +113,65 @@ func (o Options) resolve() (vliw.Tier, error) {
 // profile, so runs borrow a machine and Reset it onto each image instead.
 var machinePool = sync.Pool{New: func() any { return new(vliw.Machine) }}
 
-// armTier puts a pooled machine onto the requested execution tier for img,
-// minting the needed certificate grade from the clean lint report (rep must
-// be the clean report for exactly this image; one that cannot certify after
-// a clean lint is itself a schedcheck bug and is returned so the oracle
-// flags it). On a fuzz input nothing may be provable at the safety grade,
-// which is fine: an empty bitmask still exercises the safe and native
-// tiers' arming and containment machinery.
-func armTier(m *vliw.Machine, img *isa.Image, rep *schedcheck.Report, tier vliw.Tier) error {
-	if tier == vliw.TierChecked {
-		return nil
-	}
-	cert, err := rep.Certify()
-	if err != nil {
-		return fmt.Errorf("lint passed but certification failed: %w", err)
-	}
-	if tier == vliw.TierFast {
-		return m.UseCertificate(cert)
-	}
-	scert, err := safecheck.Analyze(img, safecheck.Options{}).Certify(cert)
-	if err != nil {
-		return fmt.Errorf("resource certificate minted but safety grading failed: %w", err)
-	}
-	if tier == vliw.TierSafe {
-		return m.UseSafeCertificate(scert)
-	}
-	return m.UseNativeCertificate(scert)
+// result is one execution's observable outcome.
+type result struct {
+	exit int32
+	out  string
+	st   vliw.Stats
+	err  error
 }
 
-// runTier executes one linked image on one execution tier and returns the
-// result plus a copy of the machine's Stats.
-func runTier(ctx context.Context, img *isa.Image, rep *schedcheck.Report, maxCycles int64, tier vliw.Tier) (int32, string, vliw.Stats, error) {
+// run executes one linked image on the leg.
+func (l leg) run(ctx context.Context, img *isa.Image, maxCycles int64) result {
 	m := machinePool.Get().(*vliw.Machine)
 	defer machinePool.Put(m)
-	m.Reset(img)
-	m.CycleLimit = maxCycles
-	if err := armTier(m, img, rep, tier); err != nil {
-		return 0, "", vliw.Stats{}, err
+	if err := l.load(m, img, maxCycles, nil); err != nil {
+		return result{err: err}
 	}
 	v, out, err := m.RunContext(ctx)
-	return v, out, m.Stats, err
+	return result{v, out, m.Stats, err}
 }
 
-// checkTiers runs the image on all four execution tiers — checked, fast,
-// safe, and native — and requires byte-identical results: same exit, same
-// output, same fault, and the same value in every Stats counter. It returns
+// differ describes the first observable difference between a reference
+// execution and another one (named what) — trap status, fault text, exit
+// value, output, or any Stats counter — or returns "" when they agree.
+func differ(ref, got result, what string) string {
+	switch {
+	case (ref.err == nil) != (got.err == nil):
+		return fmt.Sprintf("trap disagreement: reference err=%v, %s err=%v", ref.err, what, got.err)
+	case ref.err != nil && ref.err.Error() != got.err.Error():
+		return fmt.Sprintf("different faults: reference %v, %s %v", ref.err, what, got.err)
+	case ref.err != nil:
+		return ""
+	case ref.exit != got.exit:
+		return fmt.Sprintf("exit %d %s, reference %d", got.exit, what, ref.exit)
+	case ref.out != got.out:
+		return fmt.Sprintf("output %q %s, reference %q", got.out, what, ref.out)
+	case ref.st != got.st:
+		return fmt.Sprintf("stats diverged:\n  reference: %+v\n  %s: %+v", ref.st, what, got.st)
+	}
+	return ""
+}
+
+// checkTiers runs the image on the checked interpreter and, when native is
+// set, on both native legs, requiring byte-identical results. It returns
 // the checked tier's result for the caller's reference comparison; the
-// *Divergence is non-nil when the tiers disagree among themselves.
-func checkTiers(ctx context.Context, img *isa.Image, rep *schedcheck.Report, maxCycles int64, config, src string) (int32, string, error, *Divergence) {
-	cv, cout, cst, cerr := runTier(ctx, img, rep, maxCycles, vliw.TierChecked)
-	for _, tier := range []vliw.Tier{vliw.TierFast, vliw.TierSafe, vliw.TierNative} {
-		tv, tout, tst, terr := runTier(ctx, img, rep, maxCycles, tier)
-		tag := config + "/" + tier.String()
-		if (cerr == nil) != (terr == nil) {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("trap disagreement: checked err=%v, %s err=%v", cerr, tier, terr), Src: src}
-		}
-		if cerr != nil {
-			if cerr.Error() != terr.Error() {
-				return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-					Detail: fmt.Sprintf("different faults: checked %v, %s %v", cerr, tier, terr), Src: src}
-			}
-			continue
-		}
-		if cv != tv {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("exit %d, checked %d", tv, cv), Src: src}
-		}
-		if cout != tout {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("output %q, checked %q", tout, cout), Src: src}
-		}
-		if cst != tst {
-			return cv, cout, cerr, &Divergence{Stage: "tier", Config: tag,
-				Detail: fmt.Sprintf("stats diverged:\nchecked: %+v\n%s: %+v", cst, tier, tst), Src: src}
+// *Divergence is non-nil when the legs disagree among themselves.
+func checkTiers(ctx context.Context, img *isa.Image, rep *schedcheck.Report, native bool, maxCycles int64, config, src string) (result, *Divergence) {
+	ref := checkedLeg.run(ctx, img, maxCycles)
+	if !native {
+		return ref, nil
+	}
+	legs, err := nativeLegs(img, rep)
+	if err != nil {
+		return ref, &Divergence{Stage: "tier", Config: config, Detail: err.Error(), Src: src}
+	}
+	for _, l := range legs {
+		if d := differ(ref, l.run(ctx, img, maxCycles), l.name); d != "" {
+			return ref, &Divergence{Stage: "tier", Config: config + "/" + l.name, Detail: d, Src: src}
 		}
 	}
-	return cv, cout, cerr, nil
+	return ref, nil
 }
 
 // matrix is the compile-and-run settings every input is checked across:
@@ -177,9 +197,9 @@ func Check(ctx context.Context, src string, o Options) error {
 	if o.RefSteps == 0 {
 		o.RefSteps = 50_000_000
 	}
-	tier, terr := o.resolve()
-	if terr != nil {
-		return terr
+	native, nerr := o.native()
+	if nerr != nil {
+		return nerr
 	}
 
 	// Reference: the IR interpreter underneath the scalar baseline is the
@@ -221,34 +241,28 @@ func Check(ctx context.Context, src string, o Options) error {
 		if d != nil {
 			return d
 		}
-		var gotV int32
-		var gotOut string
-		if tier >= vliw.TierSafe {
-			gotV, gotOut, err, d = checkTiers(ctx, res.Image, rep, maxCycles, m.name, src)
-			if d != nil {
-				return d
-			}
-		} else {
-			gotV, gotOut, _, err = runTier(ctx, res.Image, rep, maxCycles, tier)
+		got, d := checkTiers(ctx, res.Image, rep, native, maxCycles, m.name, src)
+		if d != nil {
+			return d
 		}
-		if err != nil {
+		if got.err != nil {
 			return &Divergence{Stage: "trap", Config: m.name,
-				Detail: fmt.Sprintf("reference ran clean but the machine faulted: %v", err), Src: src}
+				Detail: fmt.Sprintf("reference ran clean but the machine faulted: %v", got.err), Src: src}
 		}
-		if gotV != wantV {
+		if got.exit != wantV {
 			return &Divergence{Stage: "exit", Config: m.name,
-				Detail: fmt.Sprintf("exit %d, reference %d", gotV, wantV), Src: src}
+				Detail: fmt.Sprintf("exit %d, reference %d", got.exit, wantV), Src: src}
 		}
-		if gotOut != wantOut {
+		if got.out != wantOut {
 			return &Divergence{Stage: "output", Config: m.name,
-				Detail: fmt.Sprintf("output %q, reference %q", gotOut, wantOut), Src: src}
+				Detail: fmt.Sprintf("output %q, reference %q", got.out, wantOut), Src: src}
 		}
 	}
 
 	// Full optimization on the widest machine, sequential and parallel
 	// backends: run the sequential image against the reference, then require
 	// the 4-worker build to be byte-identical.
-	return checkO2(ctx, src, wantV, wantOut, maxCycles, tier)
+	return checkO2(ctx, src, wantV, wantOut, maxCycles, native)
 }
 
 // checkArtifact statically verifies every artifact a successful compile
@@ -257,8 +271,8 @@ func Check(ctx context.Context, src string, o Options) error {
 // same image, so a schedule that lints clean but traps dynamically (or vice
 // versa) surfaces as a pair of contradictory findings — itself a bug in one
 // of the two implementations of the legality rules. On success it returns
-// the clean report, which the certified tiers mint into a certificate
-// instead of re-running the analysis.
+// the clean report, which the native legs mint into certificates instead
+// of re-running the analysis.
 func checkArtifact(res *core.Result, config, src string) (*schedcheck.Report, *Divergence) {
 	if err := res.OptIR.Validate(); err != nil {
 		return nil, &Divergence{Stage: "ir-validate", Config: config,
@@ -286,7 +300,7 @@ func isCapacityReject(err error) bool {
 // checkO2 compiles at full optimization for Trace 28 with a sequential and a
 // 4-worker backend, checks the sequential image against the reference result,
 // and requires the parallel build to be byte-identical to the sequential one.
-func checkO2(ctx context.Context, src string, wantV int32, wantOut string, maxCycles int64, tier vliw.Tier) error {
+func checkO2(ctx context.Context, src string, wantV int32, wantOut string, maxCycles int64, native bool) error {
 	opts := func(jobs int) core.Options {
 		return core.Options{Config: mach.Trace28(), Opt: opt.Default(), Parallelism: jobs}
 	}
@@ -302,24 +316,17 @@ func checkO2(ctx context.Context, src string, wantV int32, wantOut string, maxCy
 	if d != nil {
 		return d
 	}
-	var gotV int32
-	var gotOut string
-	var rerr error
-	if tier >= vliw.TierSafe {
-		gotV, gotOut, rerr, d = checkTiers(ctx, seq.Image, rep, maxCycles, "trace28/O2/j1", src)
-		if d != nil {
-			return d
-		}
-	} else {
-		gotV, gotOut, _, rerr = runTier(ctx, seq.Image, rep, maxCycles, tier)
+	got, d := checkTiers(ctx, seq.Image, rep, native, maxCycles, "trace28/O2/j1", src)
+	if d != nil {
+		return d
 	}
-	if rerr != nil {
+	if got.err != nil {
 		return &Divergence{Stage: "trap", Config: "trace28/O2/j1",
-			Detail: fmt.Sprintf("reference ran clean but the machine faulted: %v", rerr), Src: src}
+			Detail: fmt.Sprintf("reference ran clean but the machine faulted: %v", got.err), Src: src}
 	}
-	if gotV != wantV || gotOut != wantOut {
+	if got.exit != wantV || got.out != wantOut {
 		return &Divergence{Stage: "exit", Config: "trace28/O2/j1",
-			Detail: fmt.Sprintf("exit %d output %q, reference %d %q", gotV, gotOut, wantV, wantOut), Src: src}
+			Detail: fmt.Sprintf("exit %d output %q, reference %d %q", got.exit, got.out, wantV, wantOut), Src: src}
 	}
 
 	par, err := core.Compile(ctx, src, opts(4))

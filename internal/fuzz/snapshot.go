@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"github.com/multiflow-repro/trace/internal/core"
+	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
 	"github.com/multiflow-repro/trace/internal/opt"
 	"github.com/multiflow-repro/trace/internal/vliw"
@@ -21,19 +22,20 @@ const snapshotSplits = 3
 // CheckSnapshot is the checkpoint/restore oracle stage for one program: the
 // program compiles at full optimization, runs uninterrupted to establish the
 // reference, then re-runs split at random beats — pause, serialize, restore
-// onto a different pooled machine, continue — in the checked mode, the
-// certified-fast mode (when the image certifies), and — when Options asks
-// for the safe or native tier and the image certifies at the safety grade —
-// that tier too, proving the snapshot wire format is tier-independent. The
-// stitched run must match the reference bit-for-bit: exit, output, and
-// every performance counter. A corrupted snapshot must be refused by
-// Restore, never half-applied.
+// onto a different pooled machine, continue — on the checked tier, on the
+// native tier armed with the resource certificate (when the image
+// certifies), and — when Options asks for the native tier and the image
+// certifies at the safety grade — armed with the safety certificate too,
+// proving the snapshot wire format is tier-independent. The stitched run
+// must match the reference bit-for-bit: exit, output, and every performance
+// counter. A corrupted snapshot must be refused by Restore, never
+// half-applied.
 func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error {
 	maxCycles := o.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 500_000_000
 	}
-	tier, err := o.resolve()
+	native, err := o.native()
 	if err != nil {
 		return err
 	}
@@ -45,80 +47,44 @@ func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error
 		}
 		return ErrSkip // non-compiling or capacity-rejected: other stages' business
 	}
+	img := art.Image()
 
-	m := machinePool.Get().(*vliw.Machine)
-	ref, err := art.RunOn(ctx, m, core.RunOptions{MaxCycles: maxCycles})
-	machinePool.Put(m)
-	if err != nil {
+	ref := checkedLeg.run(ctx, img, maxCycles)
+	if ref.err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
 		return ErrSkip // reference traps or exceeds budget: no ground truth
 	}
-	if ref.Stats.Beats < 2 {
+	if ref.st.Beats < 2 {
 		return ErrSkip // nowhere to split
 	}
 
-	modes := []vliw.Tier{vliw.TierChecked}
-	if _, err := art.Certificate(); err == nil {
-		modes = append(modes, vliw.TierFast)
-	}
-	if tier >= vliw.TierSafe {
-		if _, err := art.CertifySafe(); err == nil {
-			modes = append(modes, tier)
+	// The artifact caches its certificates, so the safety analysis runs
+	// once, not per split.
+	legs := []leg{checkedLeg}
+	if cert, err := art.Certificate(); err == nil {
+		legs = append(legs, leg{"native/resource", cert})
+		if native {
+			if scert, err := art.CertifySafe(); err == nil {
+				legs = append(legs, leg{"native/safe", scert})
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var snap []byte // one surviving snapshot, reused for the corruption probe
-	for _, mode := range modes {
+	for _, l := range legs {
 		for s := 0; s < snapshotSplits; s++ {
-			at := 1 + rng.Int63n(ref.Stats.Beats-1)
-			cfg := fmt.Sprintf("trace28/O2/tier=%s split@%d", mode, at)
-
-			m := machinePool.Get().(*vliw.Machine)
-			first, err := art.RunOn(ctx, m, core.RunOptions{
-				Tier: mode, MaxCycles: maxCycles, SnapshotAt: at})
-			machinePool.Put(m)
-			if err != nil {
-				if ctx.Err() != nil {
-					return ctx.Err()
-				}
-				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("reference ran clean but the split run failed: %v", err), Src: src}
+			at := 1 + rng.Int63n(ref.st.Beats-1)
+			got, taken := splitRun(ctx, img, l, maxCycles, at)
+			if got.err != nil && ctx.Err() != nil {
+				return ctx.Err()
 			}
-
-			final := first
-			if first.Paused {
-				snap = first.Snapshot
-				// Restore deliberately lands on a different pooled machine:
-				// the snapshot must carry everything, not lean on leftovers.
-				m := machinePool.Get().(*vliw.Machine)
-				final, err = art.RunFromOn(ctx, m, first.Snapshot, core.RunOptions{
-					Tier: mode, MaxCycles: maxCycles})
-				machinePool.Put(m)
-				if err != nil {
-					if ctx.Err() != nil {
-						return ctx.Err()
-					}
-					return &Divergence{Stage: "snapshot", Config: cfg,
-						Detail: fmt.Sprintf("restore or resumed run failed: %v", err), Src: src}
-				}
+			if taken != nil {
+				snap = taken
 			}
-			// A split landing inside the final instruction completes
-			// instead of pausing; either way the result must equal the
-			// uninterrupted reference exactly.
-			if final.Exit != ref.Exit {
-				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("exit %d resumed, %d uninterrupted", final.Exit, ref.Exit), Src: src}
-			}
-			if final.Output != ref.Output {
-				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("output %q resumed, %q uninterrupted", final.Output, ref.Output), Src: src}
-			}
-			if final.Stats != ref.Stats {
-				return &Divergence{Stage: "snapshot", Config: cfg,
-					Detail: fmt.Sprintf("stats diverge between uninterrupted and split runs:\n  resumed:       %+v\n  uninterrupted: %+v", final.Stats, ref.Stats),
-					Src:    src}
+			if d := differ(ref, got, "split"); d != "" {
+				return &Divergence{Stage: "snapshot", Config: fmt.Sprintf("trace28/O2/%s split@%d", l.name, at), Detail: d, Src: src}
 			}
 		}
 	}
@@ -128,7 +94,7 @@ func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error
 		bad := append([]byte(nil), snap...)
 		bad[len(bad)/2] ^= 0x40
 		m := machinePool.Get().(*vliw.Machine)
-		_, err := art.RunFromOn(ctx, m, bad, core.RunOptions{MaxCycles: maxCycles})
+		err := checkedLeg.load(m, img, maxCycles, bad)
 		machinePool.Put(m)
 		var ebs *vliw.ErrBadSnapshot
 		if !errors.As(err, &ebs) {
@@ -137,6 +103,37 @@ func CheckSnapshot(ctx context.Context, src string, seed int64, o Options) error
 		}
 	}
 	return nil
+}
+
+// splitRun runs img on one leg paused at beat at, serializes the context,
+// restores the snapshot onto a different pooled machine — the snapshot must
+// carry everything, not lean on leftovers — and continues to the end. A
+// split landing inside the final instruction completes instead of pausing;
+// either way the result must equal the uninterrupted reference. It also
+// returns the snapshot taken, nil when the run did not pause.
+func splitRun(ctx context.Context, img *isa.Image, l leg, maxCycles, at int64) (result, []byte) {
+	m := machinePool.Get().(*vliw.Machine)
+	defer machinePool.Put(m)
+	if err := l.load(m, img, maxCycles, nil); err != nil {
+		return result{err: err}, nil
+	}
+	m.StopBeat = at
+	v, out, err := m.RunContext(ctx)
+	var stop *vliw.ErrStopped
+	if !errors.As(err, &stop) {
+		return result{v, out, m.Stats, err}, nil
+	}
+	snap, err := m.Contexts()[0].Snapshot()
+	if err != nil {
+		return result{err: err}, nil
+	}
+	r := machinePool.Get().(*vliw.Machine)
+	defer machinePool.Put(r)
+	if err := l.load(r, img, maxCycles, snap); err != nil {
+		return result{err: fmt.Errorf("restore: %w", err)}, snap
+	}
+	v, out, err = r.RunContext(ctx)
+	return result{v, out, r.Stats, err}, snap
 }
 
 // CheckSnapshotSeeds generates programs for a contiguous seed range and runs

@@ -23,11 +23,9 @@ const timeshareK = 4
 // to change any of it.
 type soloResult struct {
 	img  *isa.Image
-	rep  *schedcheck.Report
+	legs []leg // the legs the shared machine runs this image on
 	src  string
-	exit int32
-	out  string
-	st   vliw.Stats
+	ref  result
 }
 
 // CheckTimeshare is the multi-context oracle stage: the sources compile at
@@ -35,10 +33,10 @@ type soloResult struct {
 // references, then run again time-shared K=4 on shared machines. Any
 // difference in a program's exit, output, or performance counters between
 // its solo and time-shared execution is a context-scheduler bug — the
-// hardware-context model promises bit-exact solo equivalence. Both the solo
-// references and the shared machine run on the tier Options resolves to, so
-// -tier=native exercises the closure-threaded translator under round-robin
-// preemption. Inputs that
+// hardware-context model promises bit-exact solo equivalence. The solo
+// references run checked; the shared machine runs checked, or under
+// -tier=native once per certificate grade, so the closure-threaded
+// translator is exercised under round-robin preemption too. Inputs that
 // fail to compile or whose solo run errs are skipped (they are the other
 // stages' business); ErrSkip reports that no input survived to compare.
 func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
@@ -46,7 +44,7 @@ func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
 	if maxCycles == 0 {
 		maxCycles = 500_000_000
 	}
-	tier, err := o.resolve()
+	native, err := o.native()
 	if err != nil {
 		return err
 	}
@@ -67,25 +65,21 @@ func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
 		if rep.Err() != nil {
 			continue
 		}
-		// The solo run establishes the reference, Stats included: a pooled
-		// machine directly (not runImage) so the counters are readable.
-		m := machinePool.Get().(*vliw.Machine)
-		m.Reset(res.Image)
-		m.CycleLimit = maxCycles
-		if err := armTier(m, res.Image, rep, tier); err != nil {
-			machinePool.Put(m)
-			return err
+		legs := []leg{checkedLeg}
+		if native {
+			if legs, err = nativeLegs(res.Image, rep); err != nil {
+				return err
+			}
 		}
-		v, out, err := m.RunContext(ctx)
-		st := m.Stats
-		machinePool.Put(m)
-		if err != nil {
+		// The solo run establishes the reference, Stats included.
+		ref := checkedLeg.run(ctx, res.Image, maxCycles)
+		if ref.err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			continue // solo trap or budget: no reference to compare against
 		}
-		solos = append(solos, soloResult{img: res.Image, rep: rep, src: src, exit: v, out: out, st: st})
+		solos = append(solos, soloResult{img: res.Image, legs: legs, src: src, ref: ref})
 	}
 	if len(solos) == 0 {
 		if err := ctx.Err(); err != nil {
@@ -94,54 +88,50 @@ func CheckTimeshare(ctx context.Context, srcs []string, o Options) error {
 		return ErrSkip
 	}
 
-	for lo := 0; lo < len(solos); lo += timeshareK {
-		hi := min(lo+timeshareK, len(solos))
-		batch := solos[lo:hi]
-		imgs := make([]*isa.Image, len(batch))
-		for i, s := range batch {
-			imgs[i] = s.img
-		}
-		m := machinePool.Get().(*vliw.Machine)
-		if err := m.ResetMany(imgs); err != nil {
-			machinePool.Put(m)
-			return err
-		}
-		m.CycleLimit = maxCycles
-		for _, s := range batch {
-			if err := armTier(m, s.img, s.rep, tier); err != nil {
-				machinePool.Put(m)
+	for g := range solos[0].legs {
+		for lo := 0; lo < len(solos); lo += timeshareK {
+			if err := checkShared(ctx, solos[lo:min(lo+timeshareK, len(solos))], g, maxCycles); err != nil {
 				return err
 			}
 		}
-		rs, err := m.RunMany(ctx)
-		machinePool.Put(m)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
+	}
+	return nil
+}
+
+// checkShared runs one batch time-shared on each image's g'th leg and
+// compares every context against its solo reference.
+func checkShared(ctx context.Context, batch []soloResult, g int, maxCycles int64) error {
+	imgs := make([]*isa.Image, len(batch))
+	for i, s := range batch {
+		imgs[i] = s.img
+	}
+	m := machinePool.Get().(*vliw.Machine)
+	defer machinePool.Put(m)
+	if err := m.ResetMany(imgs); err != nil {
+		return err
+	}
+	m.CycleLimit = maxCycles
+	for _, s := range batch {
+		if c := s.legs[g].cert; c != nil {
+			if err := m.UseNativeCertificate(c); err != nil {
+				return err
 			}
-			return &Divergence{Stage: "timeshare", Config: fmt.Sprintf("trace28/O2/K%d", len(batch)),
-				Detail: fmt.Sprintf("solo runs were clean but the time-shared machine failed: %v", err),
-				Src:    batch[0].src}
 		}
-		for i, r := range rs {
-			cfg := fmt.Sprintf("trace28/O2/K%d ctx%d", len(batch), i)
-			if r.Err != nil {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("solo run was clean but the context faulted: %v", r.Err), Src: batch[i].src}
-			}
-			if r.Exit != batch[i].exit {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("exit %d time-shared, %d solo", r.Exit, batch[i].exit), Src: batch[i].src}
-			}
-			if r.Output != batch[i].out {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("output %q time-shared, %q solo", r.Output, batch[i].out), Src: batch[i].src}
-			}
-			if r.Stats != batch[i].st {
-				return &Divergence{Stage: "timeshare", Config: cfg,
-					Detail: fmt.Sprintf("stats diverge between solo and time-shared runs:\n  shared: %+v\n  solo:   %+v", r.Stats, batch[i].st),
-					Src:    batch[i].src}
-			}
+	}
+	name := batch[0].legs[g].name
+	rs, err := m.RunMany(ctx)
+	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return &Divergence{Stage: "timeshare", Config: fmt.Sprintf("trace28/O2/%s/K%d", name, len(batch)),
+			Detail: fmt.Sprintf("solo runs were clean but the time-shared machine failed: %v", err),
+			Src:    batch[0].src}
+	}
+	for i, r := range rs {
+		if d := differ(batch[i].ref, result{r.Exit, r.Output, r.Stats, r.Err}, "time-shared"); d != "" {
+			return &Divergence{Stage: "timeshare", Config: fmt.Sprintf("trace28/O2/%s/K%d ctx%d", name, len(batch), i),
+				Detail: d, Src: batch[i].src}
 		}
 	}
 	return nil

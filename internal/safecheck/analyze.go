@@ -20,8 +20,8 @@ import (
 // see beat-0 results, and successors see everything. Where the machine's
 // timing is ambiguous inside one word (two writes to one register), the
 // abstract write joins instead of overwriting. Images that violate those
-// scheduling invariants simply cannot reach the safe tier: Certify requires
-// the resource certificate first.
+// scheduling invariants simply cannot reach guard-free execution: Certify
+// requires the resource certificate first.
 
 const (
 	nIRegs = 4 * 64 // I-register state: board*64+idx

@@ -48,11 +48,11 @@ type siteKey struct {
 //
 // Like the resource certificate it extends, a SafeCertificate identifies
 // the image by pointer and cannot, by design, detect mutation of the image
-// after certification. The contract is strictly weaker than the fast
-// tier's: at a proven site the bounds, alignment, and zero-divisor guards
-// are GONE, so a post-certification mutation that retargets a proven load
-// out of RAM is caught only by the Go runtime's slice bounds / divide
-// checks, which the safe tier converts back into the matching Fault
+// after certification. The contract is strictly weaker than the resource
+// certificate's: at a proven site the bounds, alignment, and zero-divisor
+// guards are GONE, so a post-certification mutation that retargets a proven
+// load out of RAM is caught only by the Go runtime's slice bounds / divide
+// checks, which the native tier converts back into the matching Fault
 // (TrapMemBounds / TrapDivZero) at a recover boundary — the blast radius is
 // the faulting context, never the process. PC bounds, bad-op, cycle-limit,
 // and every guard at unproven sites remain armed; the mutation tests in
@@ -92,7 +92,7 @@ func (c *SafeCertificate) ProvenSites() (proven, total int) {
 // the resource certificate for the same image — the latency-free transfer
 // function the analysis uses is only sound on schedcheck-clean schedules —
 // and succeeds even when nothing was proven: a certificate with an empty
-// bitmask arms a safe tier that behaves exactly like the fast tier.
+// bitmask arms the native tier exactly like the bare resource certificate.
 func (r *Report) Certify(res *schedcheck.Certificate) (*SafeCertificate, error) {
 	if r.img == nil {
 		return nil, fmt.Errorf("safecheck: report records no image")

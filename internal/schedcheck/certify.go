@@ -16,10 +16,10 @@ import (
 // The certificate identifies the image by pointer: it certifies this exact
 // decoded artifact, not some structurally equal copy, and the machine
 // rejects a certificate minted for a different image. It cannot, by design,
-// detect mutation of the image after certification — that is what the fast
-// path's remaining guards (PC bounds, memory bounds/alignment, divide by
-// zero, bad opcodes) are for, and what the mutation tests in internal/vliw
-// exercise.
+// detect mutation of the image after certification — that is what the
+// guards a resource certificate leaves armed (PC bounds, memory
+// bounds/alignment, divide by zero, bad opcodes) are for, and what the
+// mutation tests in internal/vliw exercise.
 type Certificate struct {
 	img *isa.Image
 	rep *Report

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
+
+	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
 // BenchmarkServeCachedRun measures steady-state /run throughput on the
@@ -26,7 +28,7 @@ func BenchmarkServeCachedRun(b *testing.B) {
 	hs := httptest.NewServer(s)
 	defer hs.Close()
 
-	body, err := json.Marshal(RunRequest{Source: string(src), Run: RunRequestOptions{Fast: true}})
+	body, err := json.Marshal(RunRequest{Source: string(src), Run: RunRequestOptions{Tier: vliw.TierNative}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func main() int {
 
 	body, err := json.Marshal(RunManyRequest{
 		Programs: srcs,
-		Run:      RunManyRunOptions{Fast: true, Tenancy: tenancy},
+		Run:      RunManyRunOptions{Tier: vliw.TierNative, Tenancy: tenancy},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -103,9 +103,9 @@ func artifactCost(key string, art *core.Artifact) int64 {
 }
 
 // runKey addresses a deterministic execution: the artifact key plus every
-// semantic run option — the resolved tier name, so each of the four tiers
-// memoizes separately (their results must be identical, but the key keeps
-// the caches honest instead of assuming it). The simulator is a
+// semantic run option — the tier name, so each tier memoizes separately
+// (their results must be identical, but the key keeps the caches honest
+// instead of assuming it). The simulator is a
 // deterministic function of the image (no wall clock, no randomness —
 // performance counters included), so one completed run answers every later
 // identical request.

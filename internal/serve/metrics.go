@@ -93,12 +93,9 @@ type Metrics struct {
 	// Machine pool.
 	MachinesInUse expvar.Int // machines currently executing a request
 	// Completed runs by the execution tier actually taken (cached results
-	// included): "checked" ran fully dynamically verified, "fast" took the
-	// certified fast path, "safe" ran guard-free under a safety
-	// certificate, "native" ran the closure-threaded translation.
+	// included): "checked" ran fully dynamically verified, "native" ran the
+	// closure-threaded translation under a safety certificate.
 	RunsCertChecked expvar.Int
-	RunsCertFast    expvar.Int
-	RunsCertSafe    expvar.Int
 	RunsCertNative  expvar.Int
 	// Resume-snapshot store (deadline-paused runs awaiting /resume).
 	SnapshotsStored    expvar.Int // checkpoints issued (202 responses)
@@ -126,14 +123,9 @@ type endpointMetrics struct {
 // a request that fell back (it cannot today — tier selection errors the run
 // instead) would be counted at the tier it took.
 func (m *Metrics) countRunTier(tier vliw.Tier) {
-	switch tier {
-	case vliw.TierNative:
+	if tier == vliw.TierNative {
 		m.RunsCertNative.Add(1)
-	case vliw.TierSafe:
-		m.RunsCertSafe.Add(1)
-	case vliw.TierFast:
-		m.RunsCertFast.Add(1)
-	default:
+	} else {
 		m.RunsCertChecked.Add(1)
 	}
 }
@@ -168,8 +160,6 @@ func (m *Metrics) Snapshot() map[string]any {
 		"machines_in_use": m.MachinesInUse.Value(),
 		"cert_level": map[string]int64{
 			"checked": m.RunsCertChecked.Value(),
-			"fast":    m.RunsCertFast.Value(),
-			"safe":    m.RunsCertSafe.Value(),
 			"native":  m.RunsCertNative.Value(),
 		},
 		"snapshots": map[string]any{

@@ -103,11 +103,7 @@ func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeRunMany(w, r, &req) {
 		return
 	}
-	tier, err := vliw.ResolveTier(req.Run.Tier, req.Run.Fast, req.Run.Safe)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: err.Error()})
-		return
-	}
+	tier := req.Run.Tier
 	release, ok := s.admitRequest(w, &s.metrics.RunMany)
 	if !ok {
 		return
@@ -150,7 +146,7 @@ func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 				out, err := s.runArtifact(rctx, art, tier, req.Run.MaxCycles)
 				resp.Results[i] = RunManyResult{
 					Key: keys[i], CachedBuild: cachedBuild[i],
-					Tier: out.Tier, Fast: out.Fast, Safe: out.Safe,
+					Tier: out.Tier,
 					Exit: out.Exit, Output: out.Output,
 					Stats: wireStats(out.Stats),
 				}
@@ -183,7 +179,7 @@ func (s *Server) handleRunMany(w http.ResponseWriter, r *http.Request) {
 		for i, res := range rs {
 			resp.Results[i] = RunManyResult{
 				Key: keys[i], CachedBuild: cachedBuild[i],
-				Tier: res.Tier, Fast: res.Fast, Safe: res.Safe,
+				Tier: res.Tier,
 				Exit: res.Exit, Output: res.Output,
 				Stats: wireStats(res.Stats),
 			}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+
+	"github.com/multiflow-repro/trace/internal/vliw"
 )
 
 // Three distinct tenant programs (distinct outputs and exits, same default
@@ -31,8 +33,8 @@ var tenantSrcs = []string{
 	}`,
 }
 
-func runManyReq(tenancy string, fast bool) RunManyRequest {
-	req := RunManyRequest{Run: RunManyRunOptions{Tenancy: tenancy, Fast: fast}}
+func runManyReq(tenancy string, tier vliw.Tier) RunManyRequest {
+	req := RunManyRequest{Run: RunManyRunOptions{Tenancy: tenancy, Tier: tier}}
 	for _, src := range tenantSrcs {
 		req.Programs = append(req.Programs, RunManyProgram{Source: src})
 	}
@@ -47,14 +49,14 @@ func TestRunManyContextsMatchesSoloRuns(t *testing.T) {
 
 	solo := make([]RunResponse, len(tenantSrcs))
 	for i, src := range tenantSrcs {
-		resp, raw := post(t, hs.URL+"/run", RunRequest{Source: src, Run: RunRequestOptions{Fast: true}})
+		resp, raw := post(t, hs.URL+"/run", RunRequest{Source: src, Run: RunRequestOptions{Tier: vliw.TierNative}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solo run %d: status %d: %s", i, resp.StatusCode, raw)
 		}
 		solo[i] = decode[RunResponse](t, raw)
 	}
 
-	resp, raw := post(t, hs.URL+"/runmany", runManyReq("contexts", true))
+	resp, raw := post(t, hs.URL+"/runmany", runManyReq("contexts", vliw.TierNative))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("runmany: status %d: %s", resp.StatusCode, raw)
 	}
@@ -78,8 +80,8 @@ func TestRunManyContextsMatchesSoloRuns(t *testing.T) {
 		if r.Exit != solo[i].Exit || r.Output != solo[i].Output || r.Stats != solo[i].Stats {
 			t.Errorf("tenant %d diverges from solo /run:\n batch: %+v\n solo:  %+v", i, r, solo[i])
 		}
-		if !r.Fast {
-			t.Errorf("tenant %d not on the fast path despite fast=true", i)
+		if r.Tier != vliw.TierNative {
+			t.Errorf("tenant %d ran on the %v tier, want native", i, r.Tier)
 		}
 	}
 }
@@ -90,13 +92,13 @@ func TestRunManyContextsMatchesSoloRuns(t *testing.T) {
 func TestRunManyMachinesTenancy(t *testing.T) {
 	_, hs := newTestServer(t, Config{Parallelism: 1})
 
-	resp, raw := post(t, hs.URL+"/runmany", runManyReq("contexts", false))
+	resp, raw := post(t, hs.URL+"/runmany", runManyReq("contexts", vliw.TierChecked))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("contexts: status %d: %s", resp.StatusCode, raw)
 	}
 	ctxBatch := decode[RunManyResponse](t, raw)
 
-	resp, raw = post(t, hs.URL+"/runmany", runManyReq("machines", false))
+	resp, raw = post(t, hs.URL+"/runmany", runManyReq("machines", vliw.TierChecked))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("machines: status %d: %s", resp.StatusCode, raw)
 	}

@@ -171,7 +171,7 @@ func TestConcurrentIdenticalCompilesCollapse(t *testing.T) {
 func TestRunResultMemoized(t *testing.T) {
 	_, hs := newTestServer(t, Config{Parallelism: 1})
 	src := demoSrc + "// memo\n"
-	req := RunRequest{Source: src, Run: RunRequestOptions{Fast: true}}
+	req := RunRequest{Source: src, Run: RunRequestOptions{Tier: vliw.TierNative}}
 	before := core.PipelineRuns()
 
 	resp, raw := post(t, hs.URL+"/run", req)
@@ -182,8 +182,8 @@ func TestRunResultMemoized(t *testing.T) {
 	if first.CachedResult {
 		t.Error("first run reported cached_result=true")
 	}
-	if !first.Fast {
-		t.Error("fast run did not take the certified fast path")
+	if first.Tier != vliw.TierNative {
+		t.Errorf("native run took the %v tier", first.Tier)
 	}
 
 	resp, raw = post(t, hs.URL+"/run", req)
@@ -217,7 +217,7 @@ func TestRunResultMemoized(t *testing.T) {
 	}
 }
 
-// guardedSrc exercises every guard class the safe tier can delete: array
+// guardedSrc exercises every guard class the native tier can delete: array
 // stores and loads behind provable loop bounds, plus a division by a
 // nonzero constant.
 const guardedSrc = `
@@ -230,61 +230,39 @@ func main() int {
 }
 `
 
-// TestRunSafeTier: run.safe selects the guard-free tier end to end — the
-// response reports it, the memo keeps safe and fast results apart, and the
-// /metrics cert_level tree counts each run at the grade it executed under.
+// wantBadTier asserts a response is the structured 400 bad_request an
+// unknown tier name earns, and that its message names the valid tiers.
+func wantBadTier(t *testing.T, label string, resp *http.Response, raw []byte) {
+	t.Helper()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("%s: status %d, want 400: %s", label, resp.StatusCode, raw)
+	}
+	body := decode[map[string]ErrorBody](t, raw)
+	e := body["error"]
+	if e.Kind != "bad_request" || !strings.Contains(e.Msg, "checked") || !strings.Contains(e.Msg, "native") {
+		t.Fatalf("%s: want a bad_request naming the valid tiers, got %+v", label, e)
+	}
+}
+
+// TestRunSafeTier: the retired "fast" and "safe" tier names are structured
+// bad_requests on /run — never a silent fallback to another tier — and no
+// run is counted.
 func TestRunSafeTier(t *testing.T) {
 	s, hs := newTestServer(t, Config{Parallelism: 1})
-
-	safeReq := RunRequest{Source: guardedSrc, Run: RunRequestOptions{Safe: true}}
-	resp, raw := post(t, hs.URL+"/run", safeReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("safe run: status %d: %s", resp.StatusCode, raw)
+	for _, name := range []string{"fast", "safe"} {
+		resp, raw := post(t, hs.URL+"/run", map[string]any{
+			"source": guardedSrc, "run": map[string]any{"tier": name}})
+		wantBadTier(t, name, resp, raw)
 	}
-	safe := decode[RunResponse](t, raw)
-	if !safe.Safe || !safe.Fast {
-		t.Fatalf("safe run not on the safe tier: %+v", safe)
-	}
-
-	// The fast run of the same source must not be served from the safe
-	// run's memo entry (distinct runKey) and must report safe=false.
-	resp, raw = post(t, hs.URL+"/run", RunRequest{Source: guardedSrc, Run: RunRequestOptions{Fast: true}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("fast run: status %d: %s", resp.StatusCode, raw)
-	}
-	fast := decode[RunResponse](t, raw)
-	if fast.CachedResult {
-		t.Error("fast run hit the safe run's memo entry (runKey ignores the tier)")
-	}
-	if fast.Safe || !fast.Fast {
-		t.Errorf("fast run tier flags: %+v", fast)
-	}
-	if fast.Exit != safe.Exit || fast.Output != safe.Output || fast.Stats != safe.Stats {
-		t.Errorf("tiers disagree:\n safe: %+v\n fast: %+v", safe, fast)
-	}
-
-	// A repeat safe request is a memo hit and keeps its tier flags.
-	resp, raw = post(t, hs.URL+"/run", safeReq)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cached safe run: status %d: %s", resp.StatusCode, raw)
-	}
-	cached := decode[RunResponse](t, raw)
-	if !cached.CachedResult || !cached.Safe {
-		t.Errorf("cached safe run lost its tier: %+v", cached)
-	}
-
-	if got := s.Metrics().RunsCertSafe.Value(); got != 2 {
-		t.Errorf("RunsCertSafe = %d, want 2", got)
-	}
-	if got := s.Metrics().RunsCertFast.Value(); got != 1 {
-		t.Errorf("RunsCertFast = %d, want 1", got)
+	if got := s.Metrics().RunsCertChecked.Value() + s.Metrics().RunsCertNative.Value(); got != 0 {
+		t.Errorf("rejected requests counted %d runs", got)
 	}
 }
 
 // TestRunNativeTier: run.tier="native" selects the closure-threaded tier end
 // to end — the response names the tier, the memo keys native apart from
-// safe, a tier/boolean conflict is a structured bad_request, and /metrics
-// counts the run under cert_level.native.
+// checked, an unknown tier is a structured bad_request, and /metrics counts
+// each run under its cert_level.
 func TestRunNativeTier(t *testing.T) {
 	s, hs := newTestServer(t, Config{Parallelism: 1})
 
@@ -294,25 +272,25 @@ func TestRunNativeTier(t *testing.T) {
 		t.Fatalf("native run: status %d: %s", resp.StatusCode, raw)
 	}
 	native := decode[RunResponse](t, raw)
-	if native.Tier != vliw.TierNative || !native.Safe || !native.Fast {
+	if native.Tier != vliw.TierNative {
 		t.Fatalf("native run not on the native tier: %+v", native)
 	}
 
-	// The safe run of the same source must not be served from the native
-	// run's memo entry (distinct runKey) and must agree bit-for-bit.
-	resp, raw = post(t, hs.URL+"/run", RunRequest{Source: guardedSrc, Run: RunRequestOptions{Tier: vliw.TierSafe}})
+	// The checked run of the same source must not be served from the
+	// native run's memo entry (distinct runKey) and must agree bit-for-bit.
+	resp, raw = post(t, hs.URL+"/run", RunRequest{Source: guardedSrc})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("safe run: status %d: %s", resp.StatusCode, raw)
+		t.Fatalf("checked run: status %d: %s", resp.StatusCode, raw)
 	}
-	safe := decode[RunResponse](t, raw)
-	if safe.CachedResult {
-		t.Error("safe run hit the native run's memo entry (runKey ignores the tier)")
+	checked := decode[RunResponse](t, raw)
+	if checked.CachedResult {
+		t.Error("checked run hit the native run's memo entry (runKey ignores the tier)")
 	}
-	if safe.Tier != vliw.TierSafe {
-		t.Errorf("safe run tier = %v", safe.Tier)
+	if checked.Tier != vliw.TierChecked {
+		t.Errorf("checked run tier = %v", checked.Tier)
 	}
-	if native.Exit != safe.Exit || native.Output != safe.Output || native.Stats != safe.Stats {
-		t.Errorf("tiers disagree:\n native: %+v\n safe:   %+v", native, safe)
+	if native.Exit != checked.Exit || native.Output != checked.Output || native.Stats != checked.Stats {
+		t.Errorf("tiers disagree:\n native:  %+v\n checked: %+v", native, checked)
 	}
 
 	// A repeat native request is a memo hit and keeps its tier name.
@@ -325,50 +303,46 @@ func TestRunNativeTier(t *testing.T) {
 		t.Errorf("cached native run lost its tier: %+v", cached)
 	}
 
-	// An unknown tier name and a tier/boolean conflict are both structured
-	// bad_requests, not runs.
 	resp, raw = post(t, hs.URL+"/run", map[string]any{
 		"source": guardedSrc, "run": map[string]any{"tier": "turbo"}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown tier: status %d: %s", resp.StatusCode, raw)
-	}
-	resp, raw = post(t, hs.URL+"/run", RunRequest{Source: guardedSrc,
-		Run: RunRequestOptions{Tier: vliw.TierFast, Safe: true}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("tier conflict: status %d: %s", resp.StatusCode, raw)
-	}
+	wantBadTier(t, "unknown tier", resp, raw)
 
 	if got := s.Metrics().RunsCertNative.Value(); got != 2 {
 		t.Errorf("RunsCertNative = %d, want 2", got)
 	}
+	if got := s.Metrics().RunsCertChecked.Value(); got != 1 {
+		t.Errorf("RunsCertChecked = %d, want 1", got)
+	}
 }
 
-// TestRunManySafeTier: the batch endpoint puts every tenant on the safe
-// tier under both tenancies and the results stay identical to checked ones.
+// TestRunManySafeTier: the batch endpoint rejects the retired "fast" and
+// "safe" tier names as structured bad_requests, and puts every tenant on
+// the native tier under both tenancies with results identical to checked
+// ones.
 func TestRunManySafeTier(t *testing.T) {
 	_, hs := newTestServer(t, Config{Parallelism: 1})
 
-	for _, tier := range []vliw.Tier{vliw.TierSafe, vliw.TierNative} {
-		for _, tenancy := range []string{"contexts", "machines"} {
-			req := runManyReq(tenancy, false)
-			req.Run.Tier = tier
-			resp, raw := post(t, hs.URL+"/runmany", req)
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("%s/%s: status %d: %s", tier, tenancy, resp.StatusCode, raw)
+	for _, name := range []string{"fast", "safe"} {
+		resp, raw := post(t, hs.URL+"/runmany", map[string]any{
+			"programs": []map[string]string{{"source": tenantSrcs[0]}},
+			"run":      map[string]any{"tier": name}})
+		wantBadTier(t, name, resp, raw)
+	}
+
+	for _, tenancy := range []string{"contexts", "machines"} {
+		raw := mustPostOK(t, hs.URL+"/runmany", runManyReq(tenancy, vliw.TierNative))
+		batch := decode[RunManyResponse](t, raw)
+		checked := decode[RunManyResponse](t, mustPostOK(t, hs.URL+"/runmany", runManyReq(tenancy, vliw.TierChecked)))
+		for i, r := range batch.Results {
+			if r.Error != "" {
+				t.Fatalf("%s tenant %d: %s", tenancy, i, r.Error)
 			}
-			batch := decode[RunManyResponse](t, raw)
-			checked := decode[RunManyResponse](t, mustPostOK(t, hs.URL+"/runmany", runManyReq(tenancy, false)))
-			for i, r := range batch.Results {
-				if r.Error != "" {
-					t.Fatalf("%s/%s tenant %d: %s", tier, tenancy, i, r.Error)
-				}
-				if r.Tier != tier || !r.Safe || !r.Fast {
-					t.Errorf("%s/%s tenant %d not on the requested tier: %+v", tier, tenancy, i, r)
-				}
-				c := checked.Results[i]
-				if r.Exit != c.Exit || r.Output != c.Output || r.Stats != c.Stats {
-					t.Errorf("%s/%s tenant %d diverges from checked:\n %s: %+v\n checked: %+v", tier, tenancy, i, tier, r, c)
-				}
+			if r.Tier != vliw.TierNative {
+				t.Errorf("%s tenant %d not on the native tier: %+v", tenancy, i, r)
+			}
+			c := checked.Results[i]
+			if r.Exit != c.Exit || r.Output != c.Output || r.Stats != c.Stats {
+				t.Errorf("%s tenant %d diverges from checked:\n native:  %+v\n checked: %+v", tenancy, i, r, c)
 			}
 		}
 	}

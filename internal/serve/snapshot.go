@@ -334,13 +334,8 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tier, err := req.Run.tier()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrorBody{Kind: "bad_request", Msg: err.Error()})
-		return
-	}
 	rctx, cancelRun := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
-	out, err := s.resumeArtifact(rctx, art, snap, tier, req.Run.MaxCycles)
+	out, err := s.resumeArtifact(rctx, art, snap, req.Run.Tier, req.Run.MaxCycles)
 	cancelRun()
 	if err != nil {
 		if s.maybePause(w, r, meta, out, err) {
@@ -356,7 +351,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	s.metrics.countRunTier(out.Tier)
 	writeJSON(w, http.StatusOK, RunResponse{
 		Key: meta.ArtKey, CachedBuild: cachedBuild,
-		Tier: out.Tier, Fast: out.Fast, Safe: out.Safe,
+		Tier: out.Tier,
 		Exit: out.Exit, Output: out.Output,
 		Stats: wireStats(out.Stats),
 	})

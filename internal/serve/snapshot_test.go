@@ -132,6 +132,18 @@ func TestResumeUnknownToken(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsRetiredTiers: "fast" and "safe" are structured
+// bad_requests on /resume too, decided from the request alone — before any
+// token lookup or run.
+func TestResumeRejectsRetiredTiers(t *testing.T) {
+	_, hs := newTestServer(t, Config{Parallelism: 1})
+	for _, name := range []string{"fast", "safe"} {
+		resp, raw := post(t, hs.URL+"/resume", map[string]any{
+			"token": strings.Repeat("ab", 32), "run": map[string]any{"tier": name}})
+		wantBadTier(t, name, resp, raw)
+	}
+}
+
 // TestSnapshotDiskRecovery is the SIGKILL drill: server A checkpoints a run
 // into a spill directory and is abandoned without any shutdown handshake
 // (all its in-RAM state is lost, exactly as a kill -9 would lose it); a

@@ -34,14 +34,11 @@ import (
 // Context values are created and pooled by their Machine (Reset and
 // ResetMany); they are not constructed directly.
 type Context struct {
-	id     int
-	img    *isa.Image
-	plan   []planWord
-	fast   bool
-	safe   bool // plan is the guard-free safe-tier plan (UseSafeCertificate)
-	native bool // nplan is the closure-threaded translation (UseNativeCertificate)
-	nplan  *nativePlan
-	asid   uint8
+	id    int
+	img   *isa.Image
+	plan  []planWord
+	nplan *nativePlan // native-tier translation (UseNativeCertificate); nil when checked
+	asid  uint8
 
 	// Architectural register state, partitioned per board pair (§6).
 	iregs [4][64]uint32
@@ -100,9 +97,6 @@ func (c *Context) reset(id int, img *isa.Image, plan []planWord, cfg mach.Config
 	c.id = id
 	c.img = img
 	c.plan = plan
-	c.fast = false
-	c.safe = false
-	c.native = false
 	c.nplan = nil
 	c.asid = 0
 
@@ -256,25 +250,10 @@ func (c *Context) dtlbMiss(ea int64) bool {
 // Output returns the output the context has printed so far.
 func (c *Context) Output() string { return c.out.String() }
 
-// Fast reports whether the context runs on the certified fast path.
-func (c *Context) Fast() bool { return c.fast }
-
-// Safe reports whether the context runs on the guard-free safe tier.
-func (c *Context) Safe() bool { return c.safe }
-
-// Native reports whether the context runs on the closure-threaded native
-// tier.
-func (c *Context) Native() bool { return c.native }
-
 // Tier reports the context's execution tier.
 func (c *Context) Tier() Tier {
-	switch {
-	case c.native:
+	if c.nplan != nil {
 		return TierNative
-	case c.safe:
-		return TierSafe
-	case c.fast:
-		return TierFast
 	}
 	return TierChecked
 }

@@ -97,15 +97,11 @@ func bBits(v bool) uint64 {
 
 // execOp executes one ALU/F/memory operation, enqueuing its register write
 // at issue+lat. The latency is precomputed by the plan (plan.go) so the
-// timing model is evaluated once per image, not once per executed op. The
-// dispatch key is the plan's kind, not the op's: the safe-tier plan rewrites
-// proven sites to the opSafe* synthetic opcodes below, which execute the
-// identical semantics — same stats, same bank traffic, same write pipeline —
-// minus the guard comparisons a SafetyCertificate discharged statically.
+// timing model is evaluated once per image, not once per executed op.
 func (m *Machine) execOp(p *planOp) error {
 	o, lat := p.op, p.lat
 	c := m.cur
-	switch p.kind {
+	switch o.Kind {
 	case ir.Nop:
 	case ir.ConstI:
 		c.enqueue(o.Dst, iBits(c.readI(o.A)), lat)
@@ -207,65 +203,6 @@ func (m *Machine) execOp(p *planOp) error {
 	case ir.Store:
 		return m.execStore(o)
 
-	// Guard-free variants, reachable only through a safe-tier plan
-	// (buildSafePlan) armed by UseSafeCertificate. Each mirrors its checked
-	// twin exactly — counters, bank touch, store watch, write enqueue — with
-	// the bounds/alignment/zero-divisor guards deleted: the certificate
-	// proves they can never fire. If the image was mutated after
-	// certification, the Go runtime's own slice-bounds and divide checks are
-	// the backstop; the safe run loops convert those panics back into the
-	// matching Fault (see safeTierFault).
-	case opSafeLoadI32:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
-		c.enqueue(o.Dst, uint64(binary.LittleEndian.Uint32(c.mem[ea:])), lat)
-	case opSafeLoadF64:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
-		c.enqueue(o.Dst, binary.LittleEndian.Uint64(c.mem[ea:]), lat)
-	case opSafeSpecI32:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		m.Stats.SpecLoads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
-		c.enqueue(o.Dst, uint64(binary.LittleEndian.Uint32(c.mem[ea:])), lat)
-	case opSafeSpecF64:
-		m.Stats.MemRefs++
-		m.Stats.Loads++
-		m.Stats.SpecLoads++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
-		c.enqueue(o.Dst, binary.LittleEndian.Uint64(c.mem[ea:]), lat)
-	case opSafeStoreI32:
-		m.Stats.MemRefs++
-		m.Stats.Stores++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
-		v := uint64(uint32(c.readArg(o.C)))
-		binary.LittleEndian.PutUint32(c.mem[ea:], uint32(v))
-		if m.WatchStore != nil {
-			m.WatchStore(ea, v)
-		}
-	case opSafeStoreF64:
-		m.Stats.MemRefs++
-		m.Stats.Stores++
-		ea := int64(c.readI(o.A)) + int64(c.readI(o.B))
-		m.touchBank(ea)
-		v := c.readArg(o.C)
-		binary.LittleEndian.PutUint64(c.mem[ea:], v)
-		if m.WatchStore != nil {
-			m.WatchStore(ea, v)
-		}
-	case opSafeDiv:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)/c.readI(o.B)), lat)
-	case opSafeRem:
-		c.enqueue(o.Dst, iBits(c.readI(o.A)%c.readI(o.B)), lat)
-
 	default:
 		return m.fault(c, TrapBadOp, "cannot execute %s", mach.OpName(o.Kind))
 	}
@@ -349,4 +286,4 @@ func (m *Machine) touchBank(ea int64) {
 // limits, bus counts, one reference per I board) depends only on the
 // instruction word, so it is precomputed per word by the plan pre-decoder
 // (staticBeatViolation in plan.go); the checked interpreter consults the
-// stored verdict each beat and the certified fast path skips it.
+// stored verdict each beat.

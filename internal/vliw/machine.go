@@ -234,21 +234,14 @@ type Machine struct {
 	// cached across Reset calls that re-target the same image.
 	plan []planWord
 
-	// Safe-tier plan cache: the guard-free plan derived by buildSafePlan
-	// for (safeImg, safeCert), kept across Reset calls exactly like plan so
-	// re-arming the same certificate after a Reset costs one pointer
-	// compare, not a plan rebuild. Single-slot: arming a second image's
-	// certificate (mixed-image RunMany) rebuilds.
-	safePlan []planWord
-	safeImg  *isa.Image
-	safeCert SafetyCertificate
-
 	// Native-tier plan cache (native.go): the closure-threaded translation
-	// built by buildNativePlan for (nativeImg, nativeCert), cached across
-	// Reset under the same single-slot policy as safePlan.
+	// built by buildNativePlan for (nativeImg, nativeCert), kept across
+	// Reset calls exactly like plan so re-arming the same certificate after
+	// a Reset costs one pointer compare, not a retranslation. Single-slot:
+	// arming a second image's certificate (mixed-image RunMany) rebuilds.
 	nativePlan *nativePlan
 	nativeImg  *isa.Image
-	nativeCert SafetyCertificate
+	nativeCert Certificate
 
 	// Multiway-branch scratch for the native step (stepNative): the
 	// translated branch closures publish the winning target here instead of
@@ -373,8 +366,8 @@ func (m *Machine) context(i int) *Context {
 // when the image pointer is unchanged — the pre-decoded execution plan. It
 // restores the machine to the state New would produce: architectural state
 // zeroed, stats cleared, instrumentation hooks (InjectWrite, TraceFn,
-// WatchStore, OnInterrupt) removed, DMA stopped, and the certified fast
-// path disabled (re-apply a certificate after Reset to re-enable it).
+// WatchStore, OnInterrupt) removed, DMA stopped, and the native tier
+// disarmed (re-apply a certificate after Reset to re-arm it).
 // Callers that run many programs — the fuzz oracle, the experiment
 // harness, benchmarks — pool machines through Reset instead of
 // reallocating them.
@@ -468,101 +461,28 @@ func (m *Machine) Contexts() []*Context { return m.ctxs }
 
 // A Certificate attests that a static verifier proved the image obeys the
 // §6 no-interlock schedule contract over every path — the machine may then
-// run the pre-decoded plan straight, with no dynamic legality re-checking.
-// The concrete implementation is schedcheck.Certify; the simulator
-// deliberately depends only on this interface so the verifier and the
-// machine model remain independent implementations of the contract.
+// run the image with no dynamic resource or write-race checking. The
+// concrete implementation is schedcheck.Certify; the simulator deliberately
+// depends only on this interface so the verifier and the machine model
+// remain independent implementations of the contract.
 type Certificate interface {
 	// CertifiedImage returns the exact image the certificate covers.
 	CertifiedImage() *isa.Image
 }
 
-// UseCertificate switches every context running the certified image onto
-// the fast path: dynamic resource checking and write-write race detection
-// are skipped, because the certificate proves statically that no executable
-// path can violate them. The guards for conditions a legal schedule cannot
-// exclude — PC bounds, data memory bounds and alignment, integer divide by
-// zero, unknown opcodes and syscalls — remain live. The certificate must
-// cover an image at least one resident context is executing; in a
-// mixed-program RunMany, certify each image separately.
-func (m *Machine) UseCertificate(c Certificate) error {
-	if c == nil {
-		return fmt.Errorf("vliw: certificate does not cover this image")
-	}
-	img := c.CertifiedImage()
-	found := false
-	for _, ctx := range m.ctxs {
-		if ctx.img == img {
-			ctx.fast = true
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("vliw: certificate does not cover this image")
-	}
-	return nil
-}
-
-// Fast reports whether the current context is on the certified fast path.
-func (m *Machine) Fast() bool { return m.cur.fast }
-
 // A SafetyCertificate attests, beyond the resource Certificate it extends,
 // that specific guarded sites — loads, stores, divides — can never fault:
 // no reachable execution makes their effective address escape RAM or break
 // alignment, or their divisor reach zero. SafeSite is the per-site bitmask;
-// the machine runs the guard-free variant of exactly the sites it covers
-// and keeps every dynamic guard elsewhere. The concrete implementation is
-// safecheck.Certify.
+// the native tier runs the guard-free variant of exactly the sites it
+// covers and keeps every dynamic guard elsewhere. The concrete
+// implementation is safecheck.Certify.
 type SafetyCertificate interface {
 	Certificate
 	// SafeSite reports whether the operation issued at (word, unit, beat)
 	// is proven safe.
 	SafeSite(word int, unit mach.Unit, beat uint8) bool
 }
-
-// UseSafeCertificate arms the safe tier — the third execution tier — for
-// every resident context running the certified image: the fast tier's
-// skipped resource/race checks, plus guard-free execution of each site the
-// certificate's bitmask proves safe. Unproven sites keep all their guards,
-// as do PC bounds, bad opcodes, unknown syscalls, and the cycle limit; a
-// certificate with an empty bitmask degenerates to exactly the fast tier.
-// The derived guard-free plan is cached on the machine and reused when the
-// same certificate is re-armed after a Reset.
-func (m *Machine) UseSafeCertificate(c SafetyCertificate) error {
-	if c == nil {
-		return fmt.Errorf("vliw: safety certificate does not cover this image")
-	}
-	img := c.CertifiedImage()
-	found := false
-	for _, ctx := range m.ctxs {
-		if ctx.img == img {
-			found = true
-		}
-	}
-	if !found {
-		return fmt.Errorf("vliw: safety certificate does not cover this image")
-	}
-	if m.safeCert != c || m.safeImg != img {
-		base := m.plan
-		if m.Img != img {
-			base = buildPlan(img)
-		}
-		m.safePlan = buildSafePlan(img, base, c)
-		m.safeImg, m.safeCert = img, c
-	}
-	for _, ctx := range m.ctxs {
-		if ctx.img == img {
-			ctx.fast = true
-			ctx.safe = true
-			ctx.plan = m.safePlan
-		}
-	}
-	return nil
-}
-
-// Safe reports whether the current context is on the safe (guard-free)
-// tier.
-func (m *Machine) Safe() bool { return m.cur.safe }
 
 // Output returns the output printed so far by the current context.
 func (m *Machine) Output() string { return m.cur.out.String() }
@@ -669,8 +589,8 @@ func (m *Machine) Run() (int32, string, error) { return m.run(nil) }
 // every CtxCheckEvery beats (at instruction boundaries) and abandons the run
 // with *ErrCanceled — wrapping ctx.Err() — within one interval of the
 // context being canceled or timing out. The poll sits outside the beat loop
-// proper, so its cost on the certified fast path is below the benchmark
-// noise floor (see BenchmarkSimulatorFastCtx).
+// proper, so its cost on the native tier is below the benchmark noise floor
+// (see BenchmarkSimulatorNativeCtx).
 func (m *Machine) RunContext(ctx context.Context) (int32, string, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -684,8 +604,8 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 	c := m.ctxs[0]
 	m.cur = c
 	m.curIdx = 0
-	if c.safe || c.native {
-		// The safe and native tiers' last line of defense: a
+	if c.nplan != nil {
+		// The native tier's last line of defense: a
 		// post-certification image mutation can drive a guard-free site into
 		// the Go runtime's own slice-bounds or divide check. One deferred
 		// recover per run (not per step — the hot loop stays untouched)
@@ -721,7 +641,7 @@ func (m *Machine) run(ctx context.Context) (exit int32, out string, err error) {
 	if m.StopBeat > 0 {
 		pauseAt = m.StopBeat
 	}
-	native := c.native
+	native := c.nplan != nil
 	for !c.halted {
 		if c.beat >= ctxCheckAt {
 			if err := ctx.Err(); err != nil {
@@ -833,10 +753,8 @@ func (m *Machine) RunMany(ctx context.Context) ([]ContextResult, error) {
 		b0 := c.beat
 		s0 := m.Stats.BankStalls + m.Stats.RefillBeats
 		var err error
-		if c.native {
+		if c.nplan != nil {
 			err = m.stepNativeSafe(c)
-		} else if c.safe {
-			err = m.stepSafe(c)
 		} else {
 			err = m.step(c)
 		}
@@ -947,25 +865,11 @@ func (m *Machine) fault(c *Context, code TrapCode, format string, args ...any) e
 	return &Fault{Code: code, PC: c.pc, Beat: c.beat, Unit: m.curUnit, Msg: fmt.Sprintf(format, args...)}
 }
 
-// stepSafe is step with the safe tier's panic containment for the RunMany
-// scheduler, where one context's guard-free fault must retire only that
-// context. The deferred recover costs a few nanoseconds per instruction, so
-// the single-context run loop uses one run-level defer instead; RunMany's
-// per-step scheduling work already dwarfs it.
-func (m *Machine) stepSafe(c *Context) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = m.safeTierFault(c, r)
-		}
-	}()
-	return m.step(c)
-}
-
-// safeTierFault converts a Go runtime panic that escaped a guard-free safe
-// site back into the machine fault the deleted guard would have raised.
-// Anything that is not a runtime error (a panicking instrumentation hook,
-// a simulator bug) is re-thrown: the safe tier contains exactly the class
-// of failure its certificate weakened, nothing else.
+// safeTierFault converts a Go runtime panic that escaped a guard-free
+// native-tier site back into the machine fault the deleted guard would have
+// raised. Anything that is not a runtime error (a panicking instrumentation
+// hook, a simulator bug) is re-thrown: the native tier contains exactly the
+// class of failure its certificate weakened, nothing else.
 func (m *Machine) safeTierFault(c *Context, r any) error {
 	re, ok := r.(runtime.Error)
 	if !ok {
@@ -1077,7 +981,7 @@ func (m *Machine) step(c *Context) error {
 		if err := m.applyWrites(c); err != nil {
 			return err
 		}
-		if m.CheckRes && !c.fast {
+		if m.CheckRes {
 			if v := pw.viol[beat]; v != nil {
 				return m.fault(c, v.code, "%s", v.msg)
 			}
@@ -1181,9 +1085,9 @@ func (m *Machine) refillICache(c *Context, pc int) {
 // destination register is specified when the operation is initiated, and a
 // hardware control pipeline carries the destination forward", §6.2). The
 // handful of writes retiring in any one beat are race-checked pairwise
-// against a reused scratch list — no per-beat map. On the certified fast
-// path the race check is skipped: schedcheck's dataflow analysis proved no
-// path can retire two writes into one register together.
+// against a reused scratch list — no per-beat map. The native tier's retire
+// ring skips the check: schedcheck's dataflow analysis proved no path can
+// retire two writes into one register together.
 func (m *Machine) applyWrites(c *Context) error {
 	retired := c.retired[:0]
 	kept := c.pending[:0]
@@ -1192,15 +1096,13 @@ func (m *Machine) applyWrites(c *Context) error {
 			kept = append(kept, w)
 			continue
 		}
-		if !c.fast {
-			for i := range retired {
-				if retired[i].dst == w.dst {
-					return m.fault(c, TrapWriteRace, "write-write race on %s: writes issued at word %d and word %d retire together",
-						w.dst, retired[i].pc, w.pc)
-				}
+		for i := range retired {
+			if retired[i].dst == w.dst {
+				return m.fault(c, TrapWriteRace, "write-write race on %s: writes issued at word %d and word %d retire together",
+					w.dst, retired[i].pc, w.pc)
 			}
-			retired = append(retired, w)
 		}
+		retired = append(retired, w)
 		val := w.val
 		if m.InjectWrite != nil {
 			val = m.InjectWrite(c.beat, w.dst, val)

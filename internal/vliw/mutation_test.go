@@ -9,12 +9,13 @@ import (
 	"github.com/multiflow-repro/trace/internal/schedcheck"
 )
 
-// Mutation tests of the certified fast path. A certificate authorizes the
-// machine to skip the dynamic §6 resource and write-race checks; it does
-// not — and by design cannot — vouch for an image mutated after
-// certification. These tests corrupt a certified image and prove the fast
-// path's remaining always-on guards (PC bounds, memory bounds, divide by
-// zero) still trap instead of silently corrupting state.
+// Mutation tests of the native tier armed with a bare resource certificate.
+// A schedcheck certificate authorizes the machine to skip the dynamic §6
+// resource and write-race checks; it does not — and by design cannot —
+// vouch for an image mutated after certification. These tests corrupt a
+// certified image and prove the guards a resource certificate leaves armed
+// (PC bounds, memory bounds, divide by zero) still trap instead of silently
+// corrupting state.
 
 func certifyImage(t *testing.T, img *isa.Image) *schedcheck.Certificate {
 	t.Helper()
@@ -25,16 +26,16 @@ func certifyImage(t *testing.T, img *isa.Image) *schedcheck.Certificate {
 	return cert
 }
 
-// runFastOn builds a machine over the (possibly mutated) image, arms the
-// stale certificate, and runs.
-func runFastOn(t *testing.T, img *isa.Image, cert *schedcheck.Certificate) error {
+// runNativeOn builds a machine over the (possibly mutated) image, arms the
+// native tier with the stale certificate — of either grade — and runs.
+func runNativeOn(t *testing.T, img *isa.Image, cert Certificate) error {
 	t.Helper()
 	m := New(img)
-	if err := m.UseCertificate(cert); err != nil {
+	if err := m.UseNativeCertificate(cert); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Fast() {
-		t.Fatal("certificate accepted but machine not in fast mode")
+	if m.Tier() != TierNative {
+		t.Fatalf("certificate accepted but Tier() = %v, want native", m.Tier())
 	}
 	_, _, err := m.Run()
 	return err
@@ -75,7 +76,7 @@ func buildNoSpec(t *testing.T) *isa.Image {
 func TestCertifiedMutationWildBranch(t *testing.T) {
 	img := buildNoSpec(t)
 	cert := certifyImage(t, img)
-	if err := runFastOn(t, img, cert); err != nil {
+	if err := runNativeOn(t, img, cert); err != nil {
 		t.Fatalf("sanity: unmutated certified run failed: %v", err)
 	}
 
@@ -95,13 +96,13 @@ func TestCertifiedMutationWildBranch(t *testing.T) {
 	if n == 0 {
 		t.Fatal("image has no branch to corrupt")
 	}
-	wantTrap(t, runFastOn(t, img, cert), TrapBadPC)
+	wantTrap(t, runNativeOn(t, img, cert), TrapBadPC)
 }
 
 func TestCertifiedMutationMemBounds(t *testing.T) {
 	img := buildNoSpec(t)
 	cert := certifyImage(t, img)
-	if err := runFastOn(t, img, cert); err != nil {
+	if err := runNativeOn(t, img, cert); err != nil {
 		t.Fatalf("sanity: unmutated certified run failed: %v", err)
 	}
 
@@ -119,13 +120,13 @@ func TestCertifiedMutationMemBounds(t *testing.T) {
 	if !mutated {
 		t.Fatal("image has no load to corrupt")
 	}
-	wantTrap(t, runFastOn(t, img, cert), TrapMemBounds)
+	wantTrap(t, runNativeOn(t, img, cert), TrapMemBounds)
 }
 
 func TestCertifiedMutationDivZero(t *testing.T) {
 	img := buildNoSpec(t)
 	cert := certifyImage(t, img)
-	if err := runFastOn(t, img, cert); err != nil {
+	if err := runNativeOn(t, img, cert); err != nil {
 		t.Fatalf("sanity: unmutated certified run failed: %v", err)
 	}
 
@@ -143,21 +144,21 @@ func TestCertifiedMutationDivZero(t *testing.T) {
 	if !mutated {
 		t.Fatal("image has no divide to corrupt")
 	}
-	wantTrap(t, runFastOn(t, img, cert), TrapDivZero)
+	wantTrap(t, runNativeOn(t, img, cert), TrapDivZero)
 }
 
 // TestCertificateRejectsForeignImage proves a certificate cannot be
 // laundered across images: arming a machine with a certificate minted for a
-// different image fails, and the machine stays in checked mode.
+// different image fails, and the machine stays on the checked tier.
 func TestCertificateRejectsForeignImage(t *testing.T) {
 	img1 := buildNoSpec(t)
 	img2 := buildNoSpec(t)
 	cert := certifyImage(t, img1)
 	m := New(img2)
-	if err := m.UseCertificate(cert); err == nil {
+	if err := m.UseNativeCertificate(cert); err == nil {
 		t.Fatal("certificate for a different image was accepted")
 	}
-	if m.Fast() {
-		t.Fatal("rejected certificate left the machine in fast mode")
+	if m.Tier() != TierChecked {
+		t.Fatalf("rejected certificate left the machine on the %v tier", m.Tier())
 	}
 }

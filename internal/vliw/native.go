@@ -11,11 +11,12 @@ import (
 )
 
 // This file is the native tier: a per-image translator that compiles the
-// decoded plan one step further than plan.go's pre-decoder. Where the safe
-// tier still walks planOps and switches on planOp.kind for every executed
-// slot, the translator runs once per (image, certificate) and fuses each
-// beat's slot list into a sequence of Go closures — one superinstruction
-// per beat — with everything static baked in at translation time:
+// image one step further than plan.go's pre-decoder. Where the checked
+// interpreter still walks planOps and switches on the opcode for every
+// executed slot, the translator runs once per (image, certificate) and
+// fuses each beat's slot list into a sequence of Go closures — one
+// superinstruction per beat — with everything static baked in at
+// translation time:
 //
 //   - operand access is resolved per slot: immediates become captured
 //     constants, register reads become direct masked indexing into the
@@ -30,19 +31,19 @@ import (
 //   - the memory-bank geometry (power-of-two controllers and banks in every
 //     stock config) is resolved to shifts and masks, for both the prescan
 //     and the per-reference bank-busy update;
-//   - at sites the SafetyCertificate's bitmask covers, the emitted closure
-//     carries no bounds/alignment/divide guard at all; unproven sites keep
-//     exactly the safe tier's guard semantics, fault messages included.
+//   - at sites a SafetyCertificate's bitmask covers, the emitted closure
+//     carries no bounds/alignment/divide guard at all; unproven sites — and
+//     every site under a bare resource Certificate — keep exactly the
+//     checked interpreter's guard semantics, fault messages included.
 //
 // Everything dynamic — the write pipeline (Context.pending, so snapshots
 // and RunMany interleaving are unchanged), the TLB/bank-stall prescan, the
 // icache model, interrupts, DMA — keeps the other tiers' semantics: the
 // equivalence bar is exit, output, and every Stats counter bit-identical to
-// checked/fast/safe, and the tracefuzz oracle holds the translator to it.
-// Post-certification image corruption is contained the same way as the safe
-// tier: the Go runtime's own bounds/divide checks backstop the deleted
-// guards and the run loops convert the panic into the matching Fault
-// (safeTierFault).
+// the checked tier, and the tracefuzz oracle holds the translator to it.
+// Post-certification image corruption is contained at the proven sites: the
+// Go runtime's own bounds/divide checks backstop the deleted guards and the
+// run loops convert the panic into the matching Fault (safeTierFault).
 
 // nativeOp is one translated slot operation: the closure returns the trap
 // (as an error) a guarded site raises, nil otherwise.
@@ -359,12 +360,12 @@ func (b *statsBulk) add(o *statsBulk) {
 	b.syscalls += o.syscalls
 }
 
-// nSlot is one slot's translation input: the op, the dispatch kind (the
-// safe-tier synthetic opcode at proven sites), and the precomputed
-// latency/unit attribution, exactly the planOp fields.
+// nSlot is one slot's translation input: the op, whether a safety
+// certificate proves its guard redundant, and the precomputed latency/unit
+// attribution, exactly the planOp fields.
 type nSlot struct {
 	op       *mach.Op
-	kind     ir.OpKind
+	proven   bool
 	unitKind mach.UnitKind
 	unitName string
 	lat      int
@@ -376,7 +377,6 @@ type nSlot struct {
 func opBulk(s *nSlot) statsBulk {
 	b := statsBulk{ops: 1}
 	if s.unitKind == mach.UBR {
-		// Branch-unit dispatch keys on the op's own kind (execBranch).
 		switch s.op.Kind {
 		case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR:
 			b.branches = 1
@@ -385,14 +385,14 @@ func opBulk(s *nSlot) statsBulk {
 		}
 		return b
 	}
-	switch s.kind {
+	switch s.op.Kind {
 	case ir.FAdd, ir.FSub, ir.FMul, ir.FDiv:
 		b.floatOps = 1
-	case ir.Load, opSafeLoadI32, opSafeLoadF64:
+	case ir.Load:
 		b.memRefs, b.loads = 1, 1
-	case ir.LoadSpec, opSafeSpecI32, opSafeSpecF64:
+	case ir.LoadSpec:
 		b.memRefs, b.loads, b.specLoads = 1, 1, 1
-	case ir.Store, opSafeStoreI32, opSafeStoreF64:
+	case ir.Store:
 		b.memRefs, b.stores = 1, 1
 	}
 	return b
@@ -472,7 +472,7 @@ func nReadF(a mach.Arg) func(*Context) float64 {
 }
 
 // nEA compiles the effective-address sum int64(readI(A)) + int64(readI(B))
-// — the form the opSafe* variants and the prescan's eaOf use — with the
+// — the form the guard-free sites and the prescan's eaOf use — with the
 // dominant register+immediate shape fused into a single closure.
 func nEA(o *mach.Op) func(*Context) int64 {
 	if bd, ix, ok := iregArg(o.A); ok && o.B.IsImm {
@@ -519,7 +519,7 @@ func (m *Machine) nbrTake(prio, target int) {
 // and operand shapes that dominate compacted inner loops: integer
 // add/sub/compare on reg⊕imm and reg⊕reg, and float add/sub/mul on
 // freg⊕freg. Returns nil when the generic builders should be used.
-func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
+func nFastShape(o *mach.Op, dst mach.PReg, lat int64) nativeOp {
 	if !dst.Valid() {
 		return nil
 	}
@@ -528,7 +528,7 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 		if !ok {
 			return nil
 		}
-		switch kind {
+		switch o.Kind {
 		case ir.FAdd:
 			return func(m *Machine, c *Context) error {
 				v := math.Float64frombits(c.fregs[abd][aix]) + math.Float64frombits(c.fregs[bbd][bix])
@@ -556,7 +556,7 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 	}
 	if o.B.IsImm {
 		bv := o.B.Imm
-		switch kind {
+		switch o.Kind {
 		case ir.Add:
 			return func(m *Machine, c *Context) error {
 				c.npush(c.beat+lat, dst, iBits(int32(c.iregs[abd][aix])+bv))
@@ -581,7 +581,7 @@ func nFastShape(o *mach.Op, kind ir.OpKind, dst mach.PReg, lat int64) nativeOp {
 		return nil
 	}
 	if bbd, bix, ok := iregArg(o.B); ok {
-		switch kind {
+		switch o.Kind {
 		case ir.Add:
 			return func(m *Machine, c *Context) error {
 				c.npush(c.beat+lat, dst, iBits(int32(c.iregs[abd][aix])+int32(c.iregs[bbd][bix])))
@@ -933,7 +933,7 @@ func compileStore(o *mach.Op, unitName string, rb statsBulk, g bankGeom) nativeO
 // compileSafeLoad translates a proven load: no guard at all. A
 // post-certification mutation that drives the address wild hits the Go
 // runtime's slice bounds check; the run loops convert the panic to the
-// matching Fault (safeTierFault), same as the safe tier.
+// matching Fault (safeTierFault).
 func compileSafeLoad(o *mach.Op, lat int64, f64 bool, g bankGeom) nativeOp {
 	ea := nEA(o)
 	dst := o.Dst
@@ -1025,15 +1025,15 @@ func compileSafeStore(o *mach.Op, f64 bool, g bankGeom) nativeOp {
 }
 
 // compileExec translates one non-branch slot (mirrors execOp case for
-// case; the dispatch key is the plan kind, so proven sites translate to
-// their guard-free variants).
-func compileExec(o *mach.Op, kind ir.OpKind, lat64 int, unitName string, rb statsBulk, g bankGeom) nativeOp {
+// case). A proven slot — one a SafetyCertificate covers — translates to its
+// guard-free variant.
+func compileExec(o *mach.Op, proven bool, lat64 int, unitName string, rb statsBulk, g bankGeom) nativeOp {
 	dst := o.Dst
 	lat := int64(lat64)
-	if f := nFastShape(o, kind, dst, lat); f != nil {
+	if f := nFastShape(o, dst, lat); f != nil {
 		return f
 	}
-	switch kind {
+	switch o.Kind {
 	case ir.Nop:
 		return nil
 	case ir.ConstI:
@@ -1053,6 +1053,9 @@ func compileExec(o *mach.Op, kind ir.OpKind, lat64 int, unitName string, rb stat
 	case ir.Mul:
 		return nALU2(o, dst, lat, func(a, b int32) int32 { return a * b })
 	case ir.Div:
+		if proven {
+			return nALU2(o, dst, lat, func(a, b int32) int32 { return a / b })
+		}
 		ga, gb := nReadI(o.A), nReadI(o.B)
 		return func(m *Machine, c *Context) error {
 			d := gb(c)
@@ -1065,6 +1068,9 @@ func compileExec(o *mach.Op, kind ir.OpKind, lat64 int, unitName string, rb stat
 			return nil
 		}
 	case ir.Rem:
+		if proven {
+			return nALU2(o, dst, lat, func(a, b int32) int32 { return a % b })
+		}
 		ga, gb := nReadI(o.A), nReadI(o.B)
 		return func(m *Machine, c *Context) error {
 			d := gb(c)
@@ -1153,25 +1159,15 @@ func compileExec(o *mach.Op, kind ir.OpKind, lat64 int, unitName string, rb stat
 			return gcv(c)
 		})
 	case ir.Load, ir.LoadSpec:
+		if proven && guardFreeType(o.Type) {
+			return compileSafeLoad(o, lat, o.Type == ir.F64, g)
+		}
 		return compileLoad(o, lat, unitName, rb, g)
 	case ir.Store:
+		if proven && guardFreeType(o.Type) {
+			return compileSafeStore(o, o.Type == ir.F64, g)
+		}
 		return compileStore(o, unitName, rb, g)
-	case opSafeLoadI32:
-		return compileSafeLoad(o, lat, false, g)
-	case opSafeLoadF64:
-		return compileSafeLoad(o, lat, true, g)
-	case opSafeSpecI32:
-		return compileSafeLoad(o, lat, false, g)
-	case opSafeSpecF64:
-		return compileSafeLoad(o, lat, true, g)
-	case opSafeStoreI32:
-		return compileSafeStore(o, false, g)
-	case opSafeStoreF64:
-		return compileSafeStore(o, true, g)
-	case opSafeDiv:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a / b })
-	case opSafeRem:
-		return nALU2(o, dst, lat, func(a, b int32) int32 { return a % b })
 	}
 	name := mach.OpName(o.Kind)
 	return func(m *Machine, c *Context) error {
@@ -1179,11 +1175,16 @@ func compileExec(o *mach.Op, kind ir.OpKind, lat64 int, unitName string, rb stat
 	}
 }
 
+// guardFreeType reports whether a memory access type has a guard-free
+// translation: the safety analysis only proves I32 and F64 accesses.
+func guardFreeType(t ir.Type) bool { return t == ir.I32 || t == ir.F64 }
+
 // buildNativePlan translates every instruction word of the image under a
-// safety certificate. The walk mirrors buildPlan/buildSafePlan slot order
-// exactly — that order is the key the certificate's per-site bitmask is
-// indexed by.
-func buildNativePlan(img *isa.Image, cert SafetyCertificate) *nativePlan {
+// certificate. A bare resource Certificate keeps every value guard; a
+// SafetyCertificate also removes the guard of each (word, unit, beat) site
+// its bitmask proves.
+func buildNativePlan(img *isa.Image, cert Certificate) *nativePlan {
+	safe, _ := cert.(SafetyCertificate)
 	cfg := img.Cfg
 	np := &nativePlan{
 		words:    make([]nativeWord, len(img.Instrs)),
@@ -1212,17 +1213,13 @@ func buildNativePlan(img *isa.Image, cert SafetyCertificate) *nativePlan {
 		for si := range in.Slots {
 			s := &in.Slots[si]
 			b := s.Beat & 1
-			kind := s.Op.Kind
-			if k, ok := safeKind(&s.Op); ok && cert.SafeSite(a, s.Unit, s.Beat) {
-				kind = k
-			}
 			lat := latency(cfg, &s.Op)
 			if lat > maxLat {
 				maxLat = lat
 			}
 			beats[b] = append(beats[b], nSlot{
 				op:       &s.Op,
-				kind:     kind,
+				proven:   safe != nil && safe.SafeSite(a, s.Unit, s.Beat),
 				unitKind: s.Unit.Kind,
 				unitName: nameOf(s.Unit),
 				lat:      lat,
@@ -1267,7 +1264,7 @@ func buildNativePlan(img *isa.Image, cert SafetyCertificate) *nativePlan {
 				if s.unitKind == mach.UBR {
 					f = compileBranch(s.op, s.unitName, suffix[i])
 				} else {
-					f = compileExec(s.op, s.kind, s.lat, s.unitName, suffix[i], np.geom)
+					f = compileExec(s.op, s.proven, s.lat, s.unitName, suffix[i], np.geom)
 				}
 				if f != nil {
 					ops = append(ops, f)
@@ -1285,15 +1282,18 @@ func buildNativePlan(img *isa.Image, cert SafetyCertificate) *nativePlan {
 	return np
 }
 
-// UseNativeCertificate arms the native tier — the fourth execution tier —
-// for every resident context running the certified image: the safe tier's
-// graded guard deletion, with the per-slot interpreter replaced by the
-// image's closure-threaded translation. Unproven sites keep exactly the
-// safe tier's guards; exit, output, and every Stats counter are
-// bit-identical to the checked, fast, and safe tiers. The translated plan
-// is cached on the machine and reused when the same certificate is
-// re-armed after a Reset, exactly like the safe plan.
-func (m *Machine) UseNativeCertificate(c SafetyCertificate) error {
+// UseNativeCertificate arms the native tier for every resident context
+// running the certified image: the per-slot interpreter is replaced by the
+// image's closure-threaded translation, and the dynamic resource and
+// write-race checks the certificate discharges are skipped. A bare resource
+// Certificate keeps every value guard — bounds, alignment, zero divisor;
+// a SafetyCertificate also deletes the guard at each site it proves. Exit,
+// output, and every Stats counter are bit-identical to the checked tier.
+// The certificate must cover an image at least one resident context is
+// executing; in a mixed-program RunMany, certify each image separately. The
+// translation is cached on the machine and reused when the same certificate
+// is re-armed after a Reset.
+func (m *Machine) UseNativeCertificate(c Certificate) error {
 	if c == nil {
 		return fmt.Errorf("vliw: native-tier certificate does not cover this image")
 	}
@@ -1313,18 +1313,12 @@ func (m *Machine) UseNativeCertificate(c SafetyCertificate) error {
 	}
 	for _, ctx := range m.ctxs {
 		if ctx.img == img {
-			ctx.fast = true
-			ctx.native = true
 			ctx.nplan = m.nativePlan
 			ctx.nRingArm(m.nativePlan.ringSize)
 		}
 	}
 	return nil
 }
-
-// Native reports whether the current context runs the closure-threaded
-// native tier.
-func (m *Machine) Native() bool { return m.cur.native }
 
 // Tier reports the current context's execution tier.
 func (m *Machine) Tier() Tier { return m.cur.Tier() }
@@ -1502,7 +1496,10 @@ func (m *Machine) nFetch(c *Context, np *nativePlan) {
 }
 
 // stepNativeSafe is stepNative with the per-step panic containment the
-// RunMany scheduler needs (see stepSafe).
+// RunMany scheduler needs, where one context's guard-free fault must retire
+// only that context. The deferred recover costs a few nanoseconds per
+// instruction, so the single-context run loop uses one run-level defer
+// instead; RunMany's per-step scheduling work already dwarfs it.
 func (m *Machine) stepNativeSafe(c *Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {

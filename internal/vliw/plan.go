@@ -3,16 +3,15 @@ package vliw
 import (
 	"fmt"
 
-	"github.com/multiflow-repro/trace/internal/ir"
 	"github.com/multiflow-repro/trace/internal/isa"
 	"github.com/multiflow-repro/trace/internal/mach"
 )
 
-// This file is the fast-path pre-decoder. The TRACE has no interlocks
-// precisely so that nothing dynamic stands between the static plan and
-// execution (§6); the simulator mirrors that by flattening every decoded
-// instruction word into an execution plan once, at image load, instead of
-// re-deriving it every beat:
+// This file is the checked interpreter's pre-decoder. The TRACE has no
+// interlocks precisely so that nothing dynamic stands between the static
+// plan and execution (§6); the simulator mirrors that by flattening every
+// decoded instruction word into an execution plan once, at image load,
+// instead of re-deriving it every beat:
 //
 //   - slots are split into per-beat lists, so the beat loop walks exactly
 //     the operations that initiate, with no per-slot beat filtering;
@@ -32,13 +31,9 @@ import (
 // Img.Instrs); it snapshots structure, not values, and is rebuilt whenever
 // Reset targets a different image.
 
-// planOp is one pre-decoded slot operation. kind is the dispatch opcode the
-// beat loop switches on: normally a copy of op.Kind, but the safe-tier plan
-// (buildSafePlan) rewrites it to a guard-free synthetic opcode at sites a
-// SafetyCertificate proves can never fault.
+// planOp is one pre-decoded slot operation.
 type planOp struct {
 	op       *mach.Op
-	kind     ir.OpKind
 	lat      int // precomputed write latency in beats
 	unitKind mach.UnitKind
 	unitName string // precomputed fault attribution
@@ -52,8 +47,8 @@ type planMem struct {
 
 // resViol is a precomputed static resource violation for one (word, beat).
 // The checked interpreter reports it when the beat executes, exactly where
-// the old dynamic counting would have faulted; the certified fast path
-// skips the consultation.
+// the old dynamic counting would have faulted; the native tier, armed by a
+// resource certificate, never consults it.
 type resViol struct {
 	code TrapCode
 	msg  string
@@ -90,7 +85,6 @@ func buildPlan(img *isa.Image) []planWord {
 			b := s.Beat & 1
 			pw.beats[b] = append(pw.beats[b], planOp{
 				op:       &s.Op,
-				kind:     s.Op.Kind,
 				lat:      latency(cfg, &s.Op),
 				unitKind: s.Unit.Kind,
 				unitName: nameOf(s.Unit),
@@ -156,97 +150,6 @@ func staticBeatViolation(in *mach.Instr, cfg mach.Config, beat uint8) *resViol {
 		return &resViol{TrapResource, fmt.Sprintf("%d physical-address bus uses in one beat (max %d)", pa, cfg.PABuses)}
 	}
 	return nil
-}
-
-// Synthetic safe-tier opcodes. They exist only inside execution plans
-// (planOp.kind) — never in a mach.Op — and name the guard-free variant of a
-// guarded operation, specialized by access type so the beat loop pays no
-// per-op size/type branch either. The block sits above every ir and mach
-// opcode (those stay below 128; see the init check below).
-const (
-	opSafeLoadI32 ir.OpKind = 128 + iota
-	opSafeLoadF64
-	opSafeSpecI32 // proven speculative load: the §7 funny-number path is dead
-	opSafeSpecF64
-	opSafeStoreI32
-	opSafeStoreF64
-	opSafeDiv
-	opSafeRem
-)
-
-func init() {
-	// mach appends its opcodes after the IR range at 64; both must stay
-	// below the plan-private safe block.
-	if mach.OpHalt >= opSafeLoadI32 {
-		panic("vliw: machine opcode range collides with safe-tier opcodes")
-	}
-}
-
-// safeKind returns the guard-free synthetic opcode for a guarded operation,
-// or ok=false when the operation has no safe variant (or an access type the
-// analysis never proves).
-func safeKind(o *mach.Op) (ir.OpKind, bool) {
-	switch o.Kind {
-	case ir.Load:
-		switch o.Type {
-		case ir.I32:
-			return opSafeLoadI32, true
-		case ir.F64:
-			return opSafeLoadF64, true
-		}
-	case ir.LoadSpec:
-		switch o.Type {
-		case ir.I32:
-			return opSafeSpecI32, true
-		case ir.F64:
-			return opSafeSpecF64, true
-		}
-	case ir.Store:
-		switch o.Type {
-		case ir.I32:
-			return opSafeStoreI32, true
-		case ir.F64:
-			return opSafeStoreF64, true
-		}
-	case ir.Div:
-		return opSafeDiv, true
-	case ir.Rem:
-		return opSafeRem, true
-	}
-	return 0, false
-}
-
-// buildSafePlan derives the safe-tier execution plan from the base plan:
-// every slot the certificate's bitmask covers is re-dispatched to its
-// guard-free synthetic opcode; everything else keeps the checked opcode, so
-// a partially-proven image simply keeps more of its guards. Beat lists are
-// copied (the base plan is shared by checked contexts and must stay
-// pristine); the mem prescan list and the static resource verdicts are
-// structural and shared.
-//
-// The walk mirrors buildPlan's slot order exactly, which is what lets it
-// recover each planOp's (unit, beat) identity — the key the certificate's
-// per-site bitmask is indexed by.
-func buildSafePlan(img *isa.Image, base []planWord, cert SafetyCertificate) []planWord {
-	plan := make([]planWord, len(base))
-	copy(plan, base)
-	for a := range img.Instrs {
-		in := &img.Instrs[a]
-		pw := &plan[a]
-		pw.beats[0] = append([]planOp(nil), pw.beats[0]...)
-		pw.beats[1] = append([]planOp(nil), pw.beats[1]...)
-		var idx [2]int
-		for si := range in.Slots {
-			s := &in.Slots[si]
-			b := s.Beat & 1
-			p := &pw.beats[b][idx[b]]
-			idx[b]++
-			if k, ok := safeKind(&s.Op); ok && cert.SafeSite(a, s.Unit, s.Beat) {
-				p.kind = k
-			}
-		}
-	}
-	return plan
 }
 
 // unitIndex maps a functional unit to a dense per-pair index, or -1 when

@@ -29,10 +29,10 @@ import (
 // structure does not match — with attribution, never silently. What is NOT
 // captured: machine-level experiment knobs (DMA stream position, timer
 // interrupts, FlushOnSwitch) and instrumentation hooks; runs using those
-// are not resumable. The certified-fast flag is also not captured — the
-// fast path is a checking mode, not architectural state, and a resumed run
-// must present its own Certificate (checked and fast execution are
-// result-identical, so a snapshot taken in either mode resumes in either).
+// are not resumable. The execution tier is also not captured — it is a
+// checking and dispatch mode, not architectural state, and a resumed run
+// must present its own Certificate (checked and native execution are
+// result-identical, so a snapshot taken on either tier resumes on either).
 
 // snapMagic identifies a Context snapshot stream.
 const snapMagic = "TRACESNP"

@@ -5,34 +5,30 @@ import (
 	"fmt"
 )
 
-// Tier names one of the simulator's execution tiers. The tiers form a
-// strict ladder of statically-discharged dynamic checking: each one runs
-// the identical architectural semantics — exit value, output, and every
-// Stats counter are bit-identical across tiers, the invariant the fuzz
-// oracle enforces — and differs only in which guards a certificate proves
-// redundant.
+// Tier names one of the simulator's two execution tiers. Both run the
+// identical architectural semantics — exit value, output, and every Stats
+// counter are bit-identical across tiers, the invariant the fuzz oracle
+// enforces — and differ only in how much dynamic checking a certificate
+// discharges and in how instructions are dispatched.
 //
-//	TierChecked  every dynamic check live (no certificate)
-//	TierFast     resource/race checks skipped (schedcheck Certificate)
-//	TierSafe     + proven per-site guards deleted (safecheck SafeCertificate)
-//	TierNative   + closure-threaded translation, no per-op dispatch
+//	TierChecked  the reference interpreter: every dynamic check live, no
+//	             certificate
+//	TierNative   closure-threaded translation of the certified image:
+//	             resource/race checks skipped (schedcheck Certificate),
+//	             plus the value guards of every site a safecheck
+//	             SafeCertificate proves deleted
 //
 // The zero value is TierChecked, so an unset options field means "fully
-// checked", matching the pre-Tier boolean API where Fast=false/Safe=false
-// did the same.
+// checked".
 type Tier int
 
 const (
 	TierChecked Tier = iota
-	TierFast
-	TierSafe
 	TierNative
 )
 
 var tierNames = [...]string{
 	TierChecked: "checked",
-	TierFast:    "fast",
-	TierSafe:    "safe",
 	TierNative:  "native",
 }
 
@@ -43,24 +39,20 @@ func (t Tier) String() string {
 	return fmt.Sprintf("tier(%d)", int(t))
 }
 
-// ParseTier maps a tier name ("checked", "fast", "safe", "native") to its
-// Tier. The empty string parses as TierChecked, so optional flags and JSON
-// fields need no special-casing.
+// ParseTier maps a tier name ("checked", "native") to its Tier. The empty
+// string parses as TierChecked, so optional flags and JSON fields need no
+// special-casing.
 func ParseTier(s string) (Tier, error) {
 	switch s {
 	case "", "checked":
 		return TierChecked, nil
-	case "fast":
-		return TierFast, nil
-	case "safe":
-		return TierSafe, nil
 	case "native":
 		return TierNative, nil
 	}
-	return 0, fmt.Errorf("unknown execution tier %q (want checked, fast, safe, or native)", s)
+	return 0, fmt.Errorf("unknown execution tier %q (want checked or native)", s)
 }
 
-// MarshalJSON renders the tier by name: "tier":"safe".
+// MarshalJSON renders the tier by name: "tier":"native".
 func (t Tier) MarshalJSON() ([]byte, error) {
 	if t < 0 || int(t) >= len(tierNames) {
 		return nil, fmt.Errorf("cannot marshal invalid execution tier %d", int(t))
@@ -84,44 +76,4 @@ func (t *Tier) UnmarshalJSON(b []byte) error {
 	}
 	*t = v
 	return nil
-}
-
-// ErrTierConflict reports an options struct whose explicit Tier contradicts
-// its deprecated Fast/Safe compatibility booleans: the booleans imply a
-// stronger tier than the one named. (The booleans naming a weaker tier is
-// fine — Safe always implied Fast, so migrated callers may leave a stale
-// Fast=true behind a Tier=TierSafe.)
-type ErrTierConflict struct {
-	Tier Tier
-	Fast bool
-	Safe bool
-}
-
-func (e *ErrTierConflict) Error() string {
-	return fmt.Sprintf("conflicting execution tier selection: tier=%s with deprecated fast=%t safe=%t", e.Tier, e.Fast, e.Safe)
-}
-
-// ResolveTier combines an explicit Tier with the deprecated Fast/Safe
-// booleans it replaced. An unset Tier (TierChecked, the zero value) defers
-// to the booleans — Safe wins over Fast, as before. A set Tier wins over
-// booleans that imply the same or a weaker tier, and conflicts (booleans
-// implying a stronger tier than the one named) are rejected with
-// *ErrTierConflict rather than silently picking one.
-func ResolveTier(t Tier, fast, safe bool) (Tier, error) {
-	if t < TierChecked || t > TierNative {
-		return 0, fmt.Errorf("unknown execution tier %d", int(t))
-	}
-	boolTier := TierChecked
-	if safe {
-		boolTier = TierSafe
-	} else if fast {
-		boolTier = TierFast
-	}
-	if t == TierChecked {
-		return boolTier, nil
-	}
-	if boolTier > t {
-		return 0, &ErrTierConflict{Tier: t, Fast: fast, Safe: safe}
-	}
-	return t, nil
 }

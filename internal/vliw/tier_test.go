@@ -2,7 +2,6 @@ package vliw
 
 import (
 	"encoding/json"
-	"errors"
 	"testing"
 )
 
@@ -12,8 +11,6 @@ func TestTierStringAndParse(t *testing.T) {
 		name string
 	}{
 		{TierChecked, "checked"},
-		{TierFast, "fast"},
-		{TierSafe, "safe"},
 		{TierNative, "native"},
 	} {
 		if got := tc.tier.String(); got != tc.name {
@@ -27,15 +24,19 @@ func TestTierStringAndParse(t *testing.T) {
 	if parsed, err := ParseTier(""); err != nil || parsed != TierChecked {
 		t.Errorf("ParseTier(\"\") = %v, %v, want checked", parsed, err)
 	}
-	if _, err := ParseTier("turbo"); err == nil {
-		t.Error("ParseTier accepted an unknown tier name")
+	// "fast" and "safe" named the interpreter tiers the native tier
+	// replaced; they are unknown names now, like any other.
+	for _, name := range []string{"turbo", "fast", "safe"} {
+		if _, err := ParseTier(name); err == nil {
+			t.Errorf("ParseTier accepted unknown tier name %q", name)
+		}
 	}
 }
 
 func TestTierJSONRoundTrip(t *testing.T) {
-	b, err := json.Marshal(TierSafe)
-	if err != nil || string(b) != `"safe"` {
-		t.Fatalf("Marshal(TierSafe) = %s, %v, want \"safe\"", b, err)
+	b, err := json.Marshal(TierNative)
+	if err != nil || string(b) != `"native"` {
+		t.Fatalf("Marshal(TierNative) = %s, %v, want \"native\"", b, err)
 	}
 	var tr Tier
 	if err := json.Unmarshal([]byte(`"native"`), &tr); err != nil || tr != TierNative {
@@ -44,45 +45,18 @@ func TestTierJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal([]byte(`null`), &tr); err != nil || tr != TierChecked {
 		t.Fatalf("Unmarshal(null) = %v, %v, want checked", tr, err)
 	}
-	if err := json.Unmarshal([]byte(`"warp"`), &tr); err == nil {
-		t.Fatal("Unmarshal accepted an unknown tier name")
-	}
-}
-
-func TestResolveTier(t *testing.T) {
-	for _, tc := range []struct {
-		tier       Tier
-		fast, safe bool
-		want       Tier
-		conflict   bool
-	}{
-		// Unset tier defers to the deprecated booleans.
-		{TierChecked, false, false, TierChecked, false},
-		{TierChecked, true, false, TierFast, false},
-		{TierChecked, false, true, TierSafe, false},
-		{TierChecked, true, true, TierSafe, false},
-		// Explicit tier wins over equal-or-weaker booleans.
-		{TierFast, true, false, TierFast, false},
-		{TierSafe, true, true, TierSafe, false},
-		{TierNative, false, false, TierNative, false},
-		{TierNative, true, true, TierNative, false},
-		// Booleans implying a stronger tier than named: conflict.
-		{TierFast, false, true, 0, true},
-		{TierFast, true, true, 0, true},
-	} {
-		got, err := ResolveTier(tc.tier, tc.fast, tc.safe)
-		if tc.conflict {
-			var ec *ErrTierConflict
-			if err == nil || !errors.As(err, &ec) {
-				t.Errorf("ResolveTier(%v, %t, %t) err = %v, want *ErrTierConflict", tc.tier, tc.fast, tc.safe, err)
-			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("ResolveTier(%v, %t, %t) = %v, %v, want %v", tc.tier, tc.fast, tc.safe, got, err, tc.want)
+	for _, name := range []string{`"warp"`, `"fast"`, `"safe"`} {
+		if err := json.Unmarshal([]byte(name), &tr); err == nil {
+			t.Fatalf("Unmarshal accepted unknown tier name %s", name)
 		}
 	}
-	if _, err := ResolveTier(Tier(17), false, false); err == nil {
-		t.Error("ResolveTier accepted an out-of-range tier")
+	var req struct {
+		Tier Tier `json:"tier"`
+	}
+	if err := json.Unmarshal([]byte(`{"tier":"safe"}`), &req); err == nil {
+		t.Fatal(`{"tier":"safe"} decoded without error`)
+	}
+	if _, err := json.Marshal(Tier(17)); err == nil {
+		t.Fatal("Marshal accepted an out-of-range tier")
 	}
 }

@@ -20,7 +20,7 @@ import (
 var Parallelism int
 
 // Tier selects the execution tier every workload simulation runs on
-// (checked, fast, safe, or native). cmd/tracebench sets it from -tier;
+// (checked or native). cmd/tracebench sets it from -tier;
 // every table is identical at every setting (no tier changes timing).
 var Tier vliw.Tier
 

@@ -1,12 +1,11 @@
 #!/bin/sh
-# Tracked simulator benchmark: runs BenchmarkSimulator (checked),
-# BenchmarkSimulatorFast/FastCtx (certified), BenchmarkSimulatorSafe
-# (guard-free under a safety certificate), BenchmarkSimulatorNative
-# (closure-threaded translation of the image), and
-# BenchmarkSimulatorContexts (K=4 time-shared hardware contexts) with
-# fixed -benchtime/-count so runs are comparable across commits, then
-# emits BENCH_sim.json via benchjson, comparing against the committed
-# seed baseline (scripts/bench_baseline.txt).
+# Tracked simulator benchmark: runs BenchmarkSimulator (the checked
+# interpreter), BenchmarkSimulatorNative/NativeCtx (the closure-threaded
+# native tier under a safety certificate, driven directly and through
+# Artifact.RunOn with a live context), and BenchmarkSimulatorContexts (K=4
+# time-shared hardware contexts) with fixed -benchtime/-count so runs are
+# comparable across commits, then emits BENCH_sim.json via benchjson,
+# comparing against the committed baseline (scripts/bench_baseline.txt).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,14 +21,13 @@ trap 'rm -f "$raw"' EXIT
 for _ in 1 2 3; do
 	go test -run '^$' -bench 'Simulator' -benchtime=2s -count=1 -benchmem .
 done | tee "$raw"
-# Three floors: the certified fast path has to hold its committed baseline
-# (10% noise floor — the checkpoint/restore and safety machinery must cost
-# nothing when unused), the safe tier has to actually cash in its deleted
-# guards — at least as fast as the fast tier on the same corpus — and the
-# native tier's closure threading has to be worth the translation: at
-# least 2x the safe tier's beat rate.
+# Two floors: the native tier has to hold its committed baseline (10%
+# noise floor — the checkpoint/restore and context machinery must cost
+# nothing when unused), and its closure threading has to be worth the
+# translation: at least 2x the checked interpreter's beat rate on the same
+# run.
 go run ./cmd/benchjson -baseline scripts/bench_baseline.txt \
-	-require 'BenchmarkSimulatorFast=0.90' \
-	-require-ratio 'BenchmarkSimulatorFast/BenchmarkSimulatorSafe=1.00,BenchmarkSimulatorSafe/BenchmarkSimulatorNative=2.00' \
+	-require 'BenchmarkSimulatorNative=0.90' \
+	-require-ratio 'BenchmarkSimulator/BenchmarkSimulatorNative=2.00' \
 	-o "$out" "$raw"
 echo "wrote $out"

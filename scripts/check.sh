@@ -17,16 +17,17 @@ echo "== go vet"
 go vet ./...
 
 echo "== go test -race"
-# 20m: the four-way tier matrix in internal/fuzz's seed tests runs every
-# seed on checked/fast/safe/native, which under the race detector no
-# longer fits go test's default 10m package budget.
+# 20m: the tier matrix in internal/fuzz's seed tests runs every seed on
+# checked and on native under both certificate grades, which under the race
+# detector does not fit go test's default 10m package budget.
 go test -race -timeout 20m ./...
 
 echo "== go test -race, focused: simulator tiers/contexts/snapshots + serving layer"
 # The suite above already runs these packages once under -race, but cached
 # results satisfy it on re-runs; -count=1 forces the two packages with real
 # cross-goroutine traffic (pooled machines, hardware contexts, snapshot
-# store, safe-tier plan cache) to re-execute under the detector every time.
+# store, native-tier translation cache) to re-execute under the detector
+# every time.
 go vet ./internal/vliw/ ./internal/serve/
 go test -race -count=1 ./internal/vliw/ ./internal/serve/
 
@@ -35,11 +36,8 @@ go run ./cmd/tracelint -matrix -safety examples/*.mf
 echo "== tracelint (checked-in fuzz corpus)"
 go run ./cmd/tracelint -corpus internal/fuzz/testdata/fuzz/FuzzDifferential/*
 
-echo "== certified fast path smoke (fast/safe vs checked agree: examples x O0/O1/O2 x Trace 7/14/28)"
-go test -run TestFastCheckedAgree -count=1 .
-
-echo "== native tier smoke (closure-threaded native vs checked agree: examples x O0/O1/O2 x Trace 7/14/28)"
-go test -run TestNativeCheckedAgree -count=1 .
+echo "== native tier smoke (native under resource and safety certificates vs checked agree: examples x O0/O1/O2 x Trace 7/14/28)"
+go test -run 'Test(Native|Fast)CheckedAgree' -count=1 .
 
 echo "== hardware contexts smoke (examples x K=1/2/4 time-shared)"
 go build -o /tmp/tracesim.check ./cmd/tracesim
@@ -72,10 +70,10 @@ done
 rm -rf "$snapdir"
 rm -f /tmp/tracesim.check
 
-echo "== tracefuzz smoke (4-way tier matrix: checked/fast/safe/native + K=4 timeshare oracle)"
+echo "== tracefuzz smoke (tier matrix: checked vs native/resource and native/safe + K=4 timeshare oracle)"
 go run ./cmd/tracefuzz -seed 1 -n 200 -tier=native -timeshare
 
-echo "== tracefuzz checkpoint oracle (random-beat splits, checked/fast/native)"
+echo "== tracefuzz checkpoint oracle (random-beat splits, checked vs native/resource and native/safe)"
 go run ./cmd/tracefuzz -seed 1 -n 50 -tier=native -snapshot
 
 echo "== tracesrv smoke (compile/run/lint round-trips + graceful shutdown)"

@@ -22,8 +22,8 @@
 // Build returns an *Artifact — an immutable, concurrency-safe compiled
 // program that bundles the image, the pass report, the lazily-minted
 // certificates (Artifact.Certificate, Artifact.CertifySafe), static
-// verification (Artifact.Lint), and execution (Artifact.Run, on any of
-// the four tiers via RunOptions.Tier). Every entry point takes a
+// verification (Artifact.Lint), and execution (Artifact.Run, on either
+// tier via RunOptions.Tier). Every entry point takes a
 // context.Context honored at pass boundaries during compilation and at
 // beat granularity during simulation.
 //
@@ -43,14 +43,18 @@
 //
 // # Migrating from the pre-Artifact API
 //
-// The original function sprawl survives as thin deprecated wrappers, so
-// existing callers build unchanged:
+// Three of the original functions survive as thin deprecated wrappers;
+// the certified-run wrappers are gone, and their callers move to the
+// Artifact API:
 //
 //	trace.Compile(src, o)      ->  trace.Build(ctx, src, o)
 //	trace.Run(res)             ->  artifact.Run(ctx, trace.RunOptions{})
-//	trace.RunFast(res)         ->  artifact.Run(ctx, trace.RunOptions{Tier: trace.TierFast})
-//	trace.Certify(res)         ->  artifact.Certificate()
 //	trace.NewMachine(res)      ->  artifact.Machine()
+//	trace.RunFast(res)         ->  artifact.Run(ctx, trace.RunOptions{Tier: trace.TierNative})
+//	trace.RunSafe(res)         ->  artifact.Run(ctx, trace.RunOptions{Tier: trace.TierNative})
+//	trace.RunNative(res)       ->  artifact.Run(ctx, trace.RunOptions{Tier: trace.TierNative})
+//	trace.Certify(res)         ->  artifact.Certificate()
+//	trace.CertifySafe(res)     ->  artifact.CertifySafe()
 //
 // The wrappers compile with context.Background() — they cannot be
 // canceled. New code should use Build.
@@ -147,32 +151,24 @@ type PassReport = pipeline.Report
 // Stats is the simulator's performance counters.
 type Stats = vliw.Stats
 
-// Tier names one of the simulator's execution tiers: TierChecked,
-// TierFast, TierSafe, or TierNative. Every tier runs identical
+// Tier names one of the simulator's two execution tiers: TierChecked, the
+// reference interpreter with every dynamic check live, or TierNative, a
+// closure-threaded translation of the certified image that skips the
+// checks its certificates discharge statically. Both run identical
 // architectural semantics — exit value, output, and all Stats counters are
-// bit-identical — and differs only in how much dynamic checking a
-// certificate statically discharges (and, for TierNative, in dispatch:
-// the per-slot interpreter is replaced by a closure-threaded translation
-// of the certified image). Select one via RunOptions.Tier or
-// RunManyOptions.Tier; the zero value is TierChecked.
+// bit-identical. Select one via RunOptions.Tier or RunManyOptions.Tier;
+// the zero value is TierChecked.
 type Tier = vliw.Tier
 
-// The execution tiers, weakest checking discharge first.
+// The execution tiers.
 const (
 	TierChecked = vliw.TierChecked
-	TierFast    = vliw.TierFast
-	TierSafe    = vliw.TierSafe
 	TierNative  = vliw.TierNative
 )
 
-// ParseTier maps a tier name ("checked", "fast", "safe", "native") to its
-// Tier; the empty string parses as TierChecked.
+// ParseTier maps a tier name ("checked", "native") to its Tier; the empty
+// string parses as TierChecked.
 func ParseTier(s string) (Tier, error) { return vliw.ParseTier(s) }
-
-// ErrTierConflict reports options whose explicit Tier contradicts the
-// deprecated Fast/Safe booleans (the booleans imply a stronger tier than
-// the one named).
-type ErrTierConflict = vliw.ErrTierConflict
 
 // Machine is a TRACE processor instance executing a compiled image.
 type Machine = vliw.Machine
@@ -185,8 +181,8 @@ type Context = vliw.Context
 // RunMany execution.
 type SchedStats = vliw.SchedStats
 
-// RunManyOptions configures a RunMany batch (fast path, per-context beat
-// budget, scheduler quantum, and switch cost).
+// RunManyOptions configures a RunMany batch (execution tier, per-context
+// beat budget, scheduler quantum, and switch cost).
 type RunManyOptions = core.RunManyOptions
 
 // ManyResult is one context's completed execution within a RunMany batch.
@@ -262,16 +258,16 @@ func (o Options) toCore() core.Options {
 }
 
 // Artifact is an immutable compiled program: the executable image plus the
-// pass report, the lazily-minted fast-path Certificate, and static
-// verification, with execution as a method. Artifacts are safe for
+// pass report, the lazily-minted certificates, and static verification,
+// with execution as a method. Artifacts are safe for
 // concurrent use — the compiler statically owns every machine resource
 // (§4), so a linked image never changes, which is what makes artifacts
 // content-addressable and shareable across concurrent runs (see
 // internal/serve, cmd/tracesrv).
 type Artifact = core.Artifact
 
-// RunOptions configures one Artifact.Run: checked vs certified-fast mode
-// and the beat budget.
+// RunOptions configures one Artifact.Run: the execution tier, the beat
+// budget, and checkpointing.
 type RunOptions = core.RunOptions
 
 // ExitResult is one completed execution: exit value, captured output, and
@@ -321,76 +317,21 @@ func RunMany(ctx context.Context, arts []*Artifact, o RunManyOptions) ([]ManyRes
 }
 
 // Certificate is proof that a compiled image passed whole-image static
-// verification of the no-interlock schedule contract with no errors; it
-// authorizes the simulator's fast path (RunOptions.Fast,
-// Machine.UseCertificate).
+// verification of the no-interlock schedule contract with no errors
+// (Artifact.Certificate); it authorizes the simulator to skip its dynamic
+// resource and write-race checks (Machine.UseNativeCertificate).
 type Certificate = schedcheck.Certificate
-
-// Certify statically verifies the compiled image and mints a Certificate.
-//
-// Deprecated: use Artifact.Certificate, which mints once and caches the
-// certificate on the artifact for every subsequent fast run.
-func Certify(res *Result) (*Certificate, error) {
-	return core.Certify(res)
-}
 
 // SafeCertificate is the graded certificate one level above Certificate:
 // proof of the resource contract plus a per-site bitmask of loads, stores,
-// and divides whose bounds/alignment/zero-divisor guards can never fire. It
-// authorizes the simulator's safe tier (RunOptions.Safe,
-// Machine.UseSafeCertificate) — and it is the proof a plugin-compiled
-// (JIT'd) image would have to present before emitting guard-free native
-// code.
+// and divides whose bounds/alignment/zero-divisor guards can never fire
+// (Artifact.CertifySafe). The native tier deletes exactly those guards.
 type SafeCertificate = safecheck.SafeCertificate
 
 // SafetyReport is the value-range safety analysis' per-site verdict list
 // (Artifact.Safety): every guarded operation, proven or unprovable, with
 // func:line attribution and the offending interval when unproven.
 type SafetyReport = safecheck.Report
-
-// CertifySafe statically verifies the compiled image at both grades and
-// mints the graded SafeCertificate.
-//
-// Deprecated: use Artifact.CertifySafe, which mints once and caches the
-// certificate on the artifact for every subsequent safe run.
-func CertifySafe(res *Result) (*SafeCertificate, error) {
-	return core.CertifySafe(res)
-}
-
-// RunSafe executes a compiled program on the safe tier: the fast path's
-// skipped resource/race checks plus guard-free execution of every memory
-// and divide site the value-range analysis proves can never fault. Exit
-// value, output, and statistics are identical to Run and RunFast.
-//
-// Deprecated: use Artifact.Run with RunOptions{Safe: true}, which reuses
-// the artifact's cached SafeCertificate instead of re-analyzing per call.
-func RunSafe(res *Result) (int32, string, *Stats, error) {
-	return core.RunSafe(res)
-}
-
-// RunFast executes a compiled program on the certified fast path: the image
-// is statically verified once (Certify), then the machine skips its
-// per-beat dynamic resource and write-race checks. Exit value, output, and
-// statistics are identical to Run — only the checking mode differs.
-//
-// Deprecated: use Artifact.Run with RunOptions{Tier: TierFast}, which
-// reuses the artifact's cached Certificate instead of re-verifying per
-// call.
-func RunFast(res *Result) (int32, string, *Stats, error) {
-	return core.RunFast(res)
-}
-
-// RunNative executes a compiled program on the native tier: the safe
-// tier's graded certificate, with the per-slot interpreter replaced by a
-// closure-threaded translation of the certified image. Exit value, output,
-// and statistics are identical to Run, RunFast, and RunSafe.
-//
-// Deprecated: use Artifact.Run with RunOptions{Tier: TierNative}, which
-// reuses the artifact's cached SafeCertificate and the machine's cached
-// translation instead of re-deriving both per call.
-func RunNative(res *Result) (int32, string, *Stats, error) {
-	return core.RunNative(res)
-}
 
 // NewMachine returns a machine for the compiled image, for callers who want
 // to instrument execution (watchpoints, instruction traces, beat limits).
