@@ -3,7 +3,6 @@ package tsched
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -143,9 +142,6 @@ func compileOneInner(cfg mach.Config, prog *ir.Program, f *ir.Func, prof map[[2]
 		}
 		if !isCapacityErr(err) {
 			return nil, err
-		}
-		if os.Getenv("TSCHED_DEBUG") != "" {
-			fmt.Fprintf(os.Stderr, "tsched: %s: %v; retrying with traces <= %d blocks\n", f.Name, err, maxBlocks)
 		}
 	}
 	return nil, err

@@ -40,19 +40,10 @@ type scheduler struct {
 	// per-trace copy cache: (vreg, board) -> local copy
 	copies map[copyKey]VReg
 
-	// reservations
-	ialu    map[[3]int]bool // (pair, alu, absBeat)
-	fuInstr map[fuKey]bool  // (unitKind, pair, instr) occupied
-	fuBusy  map[[2]int]int  // (kind, pair) -> busy until instr (divides)
-	rdPort  map[[2]int]int  // (board, beat) -> reads
-	wrPort  map[[2]int]int  // (board, beat) -> writes
-	bus     map[[2]int]int  // (busKind, beat) -> uses
-	memRefs []memRef        // scheduled memory references
-	memBB   map[[2]int]bool // (board, beat): one reference per I board per beat
-	immw    map[[2]int]bool // (pair, beat%2 at instr granularity): the shared
-	// 32-bit immediate word of §6.1 ("flexibly shared between ALU0, ALU1,
-	// and a 32-bit PC adder") — one long immediate or branch per pair-beat
-	avail map[VReg]int // value availability beat (writes complete)
+	tab     *resTable     // unit slots, immediate words, ports, buses
+	fmBusy  [maxPairs]int // per pair: FM unavailable below this instr (FDIV)
+	memRefs []memRef      // scheduled memory references
+	avail   map[VReg]int  // value availability beat (writes complete)
 
 	// pendingSF tracks store-file registers written but not yet consumed by
 	// their store, per pair; the compiler is responsible for not
@@ -69,24 +60,10 @@ type copyKey struct {
 	board uint8
 }
 
-type fuKey struct {
-	kind  mach.UnitKind
-	pair  uint8
-	instr int
-}
-
 type memRef struct {
 	ref       alias.Ref
 	issueBeat int
-	isStore   bool
 }
-
-const (
-	busILoad = iota
-	busFLoad
-	busStore
-	busPA
-)
 
 // maxTraceInstrs bounds a single trace's schedule as a runaway guard.
 const maxTraceInstrs = 20000
@@ -116,14 +93,7 @@ func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint
 	s := &scheduler{
 		cfg: cfg, vf: vf, g: g, home: home, layout: layout, maxPrio: maxPrio,
 		copies:    map[copyKey]VReg{},
-		ialu:      map[[3]int]bool{},
-		fuInstr:   map[fuKey]bool{},
-		fuBusy:    map[[2]int]int{},
-		rdPort:    map[[2]int]int{},
-		wrPort:    map[[2]int]int{},
-		bus:       map[[2]int]int{},
-		memBB:     map[[2]int]bool{},
-		immw:      map[[2]int]bool{},
+		tab:       &resTable{cfg: &cfg},
 		avail:     map[VReg]int{},
 		pendingSF: map[uint8]map[VReg]bool{},
 	}
@@ -131,7 +101,6 @@ func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint
 	n := len(g.ops)
 	earliestBeat := make([]int, n)
 	earliestInstr := make([]int, n)
-	waited := make([]int, n)
 	remaining := n
 
 	ready := func() []*schedOp {
@@ -176,12 +145,10 @@ func scheduleTrace(cfg mach.Config, vf *VFunc, g *traceGraph, home map[VReg]uint
 				if earliestInstr[op.origIdx] > k {
 					continue
 				}
-				if s.tryPlace(op, k, earliestBeat[op.origIdx], waited[op.origIdx]) {
+				if s.tryPlace(op, k, earliestBeat[op.origIdx]) {
 					relax(op)
 					remaining--
 					progress = true
-				} else {
-					waited[op.origIdx]++
 				}
 			}
 			if !progress {
@@ -199,46 +166,26 @@ type unitChoice struct {
 	beat uint8
 }
 
-// candidateUnits lists legal units for the op's kind, most preferred first.
-// prefBoard biases toward boards already holding the operands.
-func (s *scheduler) candidateUnits(o *VOp, prefBoard int) []unitChoice {
-	var out []unitChoice
-	pairs := s.cfg.Pairs
-	order := make([]int, 0, pairs)
-	if prefBoard >= 0 && prefBoard < pairs {
-		order = append(order, prefBoard)
-	}
-	for p := 0; p < pairs; p++ {
-		if p != prefBoard {
-			order = append(order, p)
-		}
-	}
-	switch unitClass(s.vf, o) {
+// candidateUnits appends the legal units for ops of class cls on pair p,
+// most preferred first.
+func candidateUnits(out []unitChoice, cls uclass, p uint8) []unitChoice {
+	switch cls {
 	case UIALUClass:
-		for _, p := range order {
-			for alu := 0; alu < 2; alu++ {
-				for beat := uint8(0); beat < 2; beat++ {
-					out = append(out, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: uint8(p), Idx: uint8(alu)}, beat})
-				}
+		for alu := uint8(0); alu < 2; alu++ {
+			for beat := uint8(0); beat < 2; beat++ {
+				out = append(out, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: p, Idx: alu}, beat})
 			}
 		}
 	case UFAClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFA, Pair: uint8(p)}, 0})
-		}
+		out = append(out, unitChoice{mach.Unit{Kind: mach.UFA, Pair: p}, 0})
 	case UFMClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFM, Pair: uint8(p)}, 0})
-		}
+		out = append(out, unitChoice{mach.Unit{Kind: mach.UFM, Pair: p}, 0})
 	case UFEitherClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFA, Pair: uint8(p)}, 0})
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UFM, Pair: uint8(p)}, 0})
-		}
+		out = append(out,
+			unitChoice{mach.Unit{Kind: mach.UFA, Pair: p}, 0},
+			unitChoice{mach.Unit{Kind: mach.UFM, Pair: p}, 0})
 	case UBRClass:
-		for _, p := range order {
-			out = append(out, unitChoice{mach.Unit{Kind: mach.UBR, Pair: uint8(p)}, 0})
-		}
+		out = append(out, unitChoice{mach.Unit{Kind: mach.UBR, Pair: p}, 0})
 	}
 	return out
 }
@@ -287,13 +234,12 @@ func unitClass(vf *VFunc, o *VOp) uclass {
 }
 
 // operandBoards inspects the op's register operands: it returns the
-// preferred board (where most reside), the set of hard constraints
-// (SF/branch-bank reads are local-only), and whether homes are mixed.
-func (s *scheduler) operandBoards(o *VOp) (pref int, hard int, regs []VReg) {
+// preferred board (where most reside) and the hard constraint, if any
+// (SF/branch-bank reads are local-only).
+func (s *scheduler) operandBoards(o *VOp) (pref int, hard int) {
 	pref, hard = -1, -1
 	count := map[uint8]int{}
 	for _, r := range o.Uses() {
-		regs = append(regs, r)
 		h, ok := s.home[r]
 		if !ok {
 			continue
@@ -318,66 +264,48 @@ func (s *scheduler) operandBoards(o *VOp) (pref int, hard int, regs []VReg) {
 	if hard >= 0 {
 		pref = hard
 	}
-	return pref, hard, regs
+	return pref, hard
 }
 
-// tryPlace attempts to schedule op into instruction k. waited counts how
-// many instructions the op has been ready but unplaced; after a threshold
-// the scheduler inserts cross-bank copies to unblock it.
+// tryPlace attempts to schedule op into instruction k, first on units
+// whose operands are all local, then allowing cross-bank copies.
 //
 // Board preference spreads the trace across the pairs: ops are hinted to
 // the board given by their block's position in the trace, so the unrolled
 // copies of a loop body land on different pairs (the data-parallel work
 // spreads; loop-carried chains stay put because a unit whose operands are
 // elsewhere loses to the operands' own board in the same candidate pass).
-func (s *scheduler) tryPlace(op *schedOp, k, minBeat, waited int) bool {
+func (s *scheduler) tryPlace(op *schedOp, k, minBeat int) bool {
 	o := &op.vop
-	pref, hard, _ := s.operandBoards(o)
+	pref, hard := s.operandBoards(o)
 	// Spread independent work across the pairs; chained ops (reduction and
 	// induction links) stay with their operands so recurrences never pay
 	// cross-board move latency.
 	if hard < 0 && s.cfg.Pairs > 1 && !op.chained && !s.cfg.NoSpread {
 		pref = op.traceIdx % s.cfg.Pairs
 	}
-	for _, uc := range s.candidateUnits(o, pref) {
-		if hard >= 0 && int(uc.unit.Pair) != hard {
-			continue
-		}
-		if s.placeOn(op, uc, k, minBeat, false) {
-			return true
+	// The preferred board first, then the others in order; a hard
+	// constraint (pref == hard) admits only its own board.
+	cls := unitClass(s.vf, o)
+	var ucs []unitChoice
+	if pref >= 0 && pref < s.cfg.Pairs {
+		ucs = candidateUnits(ucs, cls, uint8(pref))
+	}
+	if hard < 0 {
+		for p := 0; p < s.cfg.Pairs; p++ {
+			if p != pref {
+				ucs = candidateUnits(ucs, cls, uint8(p))
+			}
 		}
 	}
-	// Copy pass: allow placements that first route operands to the target
-	// board over the buses (the per-trace copy cache dedups the moves).
-	for _, uc := range s.candidateUnits(o, pref) {
-		if hard >= 0 && int(uc.unit.Pair) != hard {
-			continue
-		}
-		if s.placeOn(op, uc, k, minBeat, true) {
-			return true
-		}
-	}
-	_ = waited
-	return false
-}
-
-// mixedHomes reports whether the op's I/F operands live on different boards
-// (so no board can host it without a copy).
-func (s *scheduler) mixedHomes(o *VOp) bool {
-	seen := -1
-	for _, r := range o.Uses() {
-		c := s.vf.Class(r)
-		if c != ClassI && c != ClassF {
-			continue
-		}
-		h, ok := s.home[r]
-		if !ok {
-			continue
-		}
-		if seen == -1 {
-			seen = int(h)
-		} else if seen != int(h) {
-			return true
+	// The copy pass allows placements that first route operands to the
+	// target board over the buses (the per-trace copy cache dedups the
+	// moves).
+	for _, allowCopies := range [...]bool{false, true} {
+		for _, uc := range ucs {
+			if s.placeOn(op, uc, k, minBeat, allowCopies) {
+				return true
+			}
 		}
 	}
 	return false
@@ -515,18 +443,13 @@ func (s *scheduler) placeOn(op *schedOp, uc unitChoice, k, minBeat int, allowCop
 	return true
 }
 
-// unitFree reports whether the unit slot is open at instruction k.
+// unitFree reports whether the unit slot is open at instruction k. An FDIV
+// holds its pair's multiplier for every instruction below its release.
 func (s *scheduler) unitFree(uc unitChoice, k int) bool {
-	switch uc.unit.Kind {
-	case mach.UIALU:
-		key := [3]int{int(uc.unit.Pair), int(uc.unit.Idx), 2*k + int(uc.beat)}
-		return !s.ialu[key]
-	default:
-		if until, ok := s.fuBusy[[2]int{int(uc.unit.Kind), int(uc.unit.Pair)}]; ok && k < until {
-			return false
-		}
-		return !s.fuInstr[fuKey{uc.unit.Kind, uc.unit.Pair, k}]
+	if uc.unit.Kind == mach.UFM && k < s.fmBusy[uc.unit.Pair] {
+		return false
 	}
+	return s.tab.unitFree(uc.unit, 2*k+int(uc.beat))
 }
 
 // resourcesFree checks ports, buses, and the memory rules of §6.4.1 for
@@ -555,81 +478,45 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 	if s.cfg.Ideal {
 		return true
 	}
-
-	// shared immediate word (one long immediate or branch per pair-beat)
-	for _, b := range immWordBeats(o, issue) {
-		if s.immw[[2]int{board, b}] {
-			return false
-		}
-	}
-
-	// register file read ports
-	nr := 0
-	for _, a := range []*VArg{&o.A, &o.B, &o.C} {
-		if !a.IsImm && a.Reg != VNone {
-			nr++
-		}
-	}
-	if s.rdPort[[2]int{board, issue}]+nr > s.cfg.RFReadPorts {
+	c := claimFor(&s.cfg, s.vf, s.home, o, uc.unit, issue)
+	if !s.tab.fits(&c) {
 		return false
 	}
-
-	// destination write port (and cross-board bus for non-load writes)
-	if o.Dst != VNone {
-		wb := issue + opLatency(s.cfg, o)
-		db := s.dstBoard(o, uc.unit)
-		if s.wrPort[[2]int{db, wb}]+1 > s.cfg.RFWritePorts {
-			return false
-		}
-		if db != board && !o.IsMem() {
-			kind, beats := busILoad, 1
-			if s.vf.Class(o.Dst) == ClassF {
-				kind, beats = busFLoad, 2
-			}
-			for i := 0; i < beats; i++ {
-				if s.bus[[2]int{kind, wb - i}]+1 > busCap(&s.cfg, kind) {
-					return false
-				}
-			}
-		}
+	if !o.IsMem() {
+		return true
 	}
 
-	// memory reference rules
-	if o.IsMem() {
-		// one reference per I board per beat
-		if s.memBB[[2]int{board, issue}] {
-			return false
+	// memory reference buses: the physical address, then the store data
+	// or the load data
+	if !s.tab.busFree(busPA, issue+mach.StagePA) {
+		return false
+	}
+	if kind, beat := s.memDataBus(o, issue); !s.tab.busFree(kind, beat) {
+		return false
+	}
+	// bank and controller disambiguation against in-flight references
+	ref := s.refOfPlaced(op)
+	bankBeat := issue + mach.StageBank
+	modBank := int64(8 * s.cfg.Controllers * s.cfg.BanksPerController)
+	modCtrl := int64(8 * s.cfg.Controllers)
+	for _, m := range s.memRefs {
+		d := bankBeat - (m.issueBeat + mach.StageBank)
+		if d < 0 {
+			d = -d
 		}
-		if s.bus[[2]int{busPA, issue + mach.StagePA}]+1 > s.cfg.PABuses {
-			return false
+		if d >= s.cfg.BankBusyBeats {
+			continue
 		}
-		if o.Kind == ir.Store {
-			if s.bus[[2]int{busStore, issue + mach.StagePA}]+1 > s.cfg.StoreBuses {
+		switch alias.SameBank(ref, m.ref, modBank) {
+		case alias.Yes:
+			return false
+		case alias.Maybe:
+			if !s.cfg.RollTheDice {
 				return false
 			}
-		} else {
-			kind := busILoad
-			if s.vf.Class(o.Dst) == ClassF {
-				kind = busFLoad
-			}
-			if s.bus[[2]int{kind, issue + mach.StageData}]+1 > busCap(&s.cfg, kind) {
-				return false
-			}
 		}
-		// bank and controller disambiguation against in-flight references
-		ref := s.refOfPlaced(op)
-		bankBeat := issue + mach.StageBank
-		modBank := int64(8 * s.cfg.Controllers * s.cfg.BanksPerController)
-		modCtrl := int64(8 * s.cfg.Controllers)
-		for _, m := range s.memRefs {
-			d := bankBeat - (m.issueBeat + mach.StageBank)
-			if d < 0 {
-				d = -d
-			}
-			if d >= s.cfg.BankBusyBeats {
-				continue
-			}
-			switch alias.SameBank(ref, m.ref, modBank) {
+		if d == 0 {
+			switch alias.SameBank(ref, m.ref, modCtrl) {
 			case alias.Yes:
 				return false
 			case alias.Maybe:
@@ -637,19 +524,22 @@ func (s *scheduler) resourcesFree(op *schedOp, uc unitChoice, issue int) bool {
 					return false
 				}
 			}
-			if d == 0 {
-				switch alias.SameBank(ref, m.ref, modCtrl) {
-				case alias.Yes:
-					return false
-				case alias.Maybe:
-					if !s.cfg.RollTheDice {
-						return false
-					}
-				}
-			}
 		}
 	}
 	return true
+}
+
+// memDataBus returns the bus and beat carrying a memory reference's data:
+// a Store bus at the address beat for stores, the load bus of the
+// destination's bank at the data beat for loads.
+func (s *scheduler) memDataBus(o *VOp, issue int) (kind, beat int) {
+	if o.Kind == ir.Store {
+		return busStore, issue + mach.StagePA
+	}
+	if s.vf.Class(o.Dst) == ClassF {
+		return busFLoad, issue + mach.StageData
+	}
+	return busILoad, issue + mach.StageData
 }
 
 // refOfPlaced returns the op's alias reference (computed at DAG time).
@@ -660,118 +550,29 @@ func (s *scheduler) refOfPlaced(op *schedOp) alias.Ref {
 	return alias.Ref{Addr: alias.VarForm(0), Size: 8}
 }
 
-// dstBoard returns the board whose register file receives the result.
-func (s *scheduler) dstBoard(o *VOp, u mach.Unit) int {
-	if h, ok := s.home[o.Dst]; ok {
-		return int(h)
-	}
-	if pre, ok := s.vf.precolor[o.Dst]; ok {
-		return int(pre.Board)
-	}
-	return int(u.Pair)
-}
-
-// busCap returns the number of buses of the given kind.
-func busCap(cfg *mach.Config, kind int) int {
-	switch kind {
-	case busILoad:
-		return cfg.ILoadBuses
-	case busFLoad:
-		return cfg.FLoadBuses
-	case busStore:
-		return cfg.StoreBuses
-	default:
-		return cfg.PABuses
-	}
-}
-
 // reserve commits the op's resource usage.
 func (s *scheduler) reserve(op *schedOp, uc unitChoice, issue int) {
 	o := &op.vop
-	k := op2instr(issue)
-	board := int(uc.unit.Pair)
-	switch uc.unit.Kind {
-	case mach.UIALU:
-		s.ialu[[3]int{board, int(uc.unit.Idx), issue}] = true
-		if o.Kind == ir.Div || o.Kind == ir.Rem {
-			// the iterative divide occupies this ALU
-			for b := issue; b < issue+opLatency(s.cfg, o); b++ {
-				s.ialu[[3]int{board, int(uc.unit.Idx), b}] = true
-			}
+	switch o.Kind {
+	case ir.Div, ir.Rem:
+		// the iterative divide occupies this ALU
+		for b := issue; b < issue+opLatency(s.cfg, o); b++ {
+			s.tab.takeUnit(uc.unit, b)
 		}
-	default:
-		s.fuInstr[fuKey{uc.unit.Kind, uc.unit.Pair, k}] = true
-		if o.Kind == ir.FDiv {
-			s.fuBusy[[2]int{int(mach.UFM), board}] = k + (s.cfg.LatFDiv+1)/2
-		}
+	case ir.FDiv:
+		s.fmBusy[uc.unit.Pair] = issue/2 + (s.cfg.LatFDiv+1)/2
 	}
 	if s.cfg.Ideal {
+		s.tab.takeUnit(uc.unit, issue)
 		return
 	}
-	for _, b := range immWordBeats(o, issue) {
-		s.immw[[2]int{board, b}] = true
-	}
-	nr := 0
-	for _, a := range []*VArg{&o.A, &o.B, &o.C} {
-		if !a.IsImm && a.Reg != VNone {
-			nr++
-		}
-	}
-	s.rdPort[[2]int{board, issue}] += nr
-	if o.Dst != VNone {
-		wb := issue + opLatency(s.cfg, o)
-		db := s.dstBoard(o, uc.unit)
-		s.wrPort[[2]int{db, wb}]++
-		if db != board && !o.IsMem() {
-			kind, beats := busILoad, 1
-			if s.vf.Class(o.Dst) == ClassF {
-				kind, beats = busFLoad, 2
-			}
-			for i := 0; i < beats; i++ {
-				s.bus[[2]int{kind, wb - i}]++
-			}
-		}
-	}
+	c := claimFor(&s.cfg, s.vf, s.home, o, uc.unit, issue)
+	s.tab.take(&c)
 	if o.IsMem() {
-		s.memBB[[2]int{board, issue}] = true
-		s.bus[[2]int{busPA, issue + mach.StagePA}]++
-		if o.Kind == ir.Store {
-			s.bus[[2]int{busStore, issue + mach.StagePA}]++
-		} else {
-			kind := busILoad
-			if s.vf.Class(o.Dst) == ClassF {
-				kind = busFLoad
-			}
-			s.bus[[2]int{kind, issue + mach.StageData}]++
-		}
-		s.memRefs = append(s.memRefs, memRef{s.refOfPlaced(op), issue, o.Kind == ir.Store})
+		s.tab.takeBus(busPA, issue+mach.StagePA)
+		s.tab.takeBus(s.memDataBus(o, issue))
+		s.memRefs = append(s.memRefs, memRef{s.refOfPlaced(op), issue})
 	}
-}
-
-func op2instr(beat int) int { return beat / 2 }
-
-// fitsImm6 reports whether the value fits the inline 6-bit immediate field.
-func fitsImm6(a VArg) bool {
-	return a.Sym == "" && a.Imm >= -32 && a.Imm <= 31
-}
-
-// immWordBeats returns which beats of the pair's shared immediate words the
-// op occupies at instruction k (absolute beats). Branches own the early
-// word (their displacement rides the PC adder's leg); long immediates own
-// their issue beat's word; ConstF needs both halves.
-func immWordBeats(o *VOp, issue int) []int {
-	switch o.Kind {
-	case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR, mach.OpHalt, mach.OpSyscall:
-		return []int{issue} // branches issue in the early beat
-	case ir.ConstF:
-		return []int{issue, issue + 1}
-	}
-	for _, a := range []VArg{o.A, o.B, o.C} {
-		if a.IsImm && !fitsImm6(a) {
-			return []int{issue}
-		}
-	}
-	return nil
 }
 
 // insertCopy schedules a cross-bank move of r to the target board, somewhere
@@ -785,20 +586,13 @@ func (s *scheduler) insertCopy(r VReg, board uint8, needBy int) (VReg, bool) {
 	earliest := s.avail[r] // 0 for live-ins
 
 	// candidate units on the SOURCE board (reads must be local)
-	var ucs []unitChoice
+	ucls := UFEitherClass
 	if cls == ClassI {
-		for alu := 0; alu < 2; alu++ {
-			for beat := uint8(0); beat < 2; beat++ {
-				ucs = append(ucs, unitChoice{mach.Unit{Kind: mach.UIALU, Pair: src, Idx: uint8(alu)}, beat})
-			}
-		}
-	} else {
-		ucs = append(ucs,
-			unitChoice{mach.Unit{Kind: mach.UFA, Pair: src}, 0},
-			unitChoice{mach.Unit{Kind: mach.UFM, Pair: src}, 0})
+		ucls = UIALUClass
 	}
-	kStart := op2instr(earliest)
-	if lo := op2instr(needBy) - 64; lo > kStart {
+	ucs := candidateUnits(nil, ucls, src)
+	kStart := earliest / 2
+	if lo := needBy/2 - 64; lo > kStart {
 		kStart = lo // bounded window keeps placement near the consumer
 	}
 	for k := kStart; 2*k+lat <= needBy+1; k++ {

@@ -2,7 +2,6 @@ package tsched
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"github.com/multiflow-repro/trace/internal/alias"
@@ -69,12 +68,6 @@ func Assemble(cfg mach.Config, vf *VFunc, prof map[[2]int]float64, layout map[st
 	for r, p := range vf.precolor {
 		home[r] = p.Board
 	}
-
-	if os.Getenv("TSCHED_DEBUG") != "" {
-		for i, tr := range traces {
-			fmt.Fprintf(os.Stderr, "trace %d: %v\n", i, tr.Blocks)
-		}
-	}
 	sf := &SFunc{Name: vf.Name, VF: vf, Home: home}
 	globalForms := GlobalForms(vf, layout)
 	st := &stitcher{cfg: cfg, vf: vf, sf: sf, lv: lv, layout: layout, globalForms: globalForms,
@@ -128,19 +121,14 @@ type stitcher struct {
 	serialRes map[*SBlock]*serialState
 }
 
-// serialState is the lightweight reservation state for packing several
-// independent ops into each instruction of a serialized block (comp blocks
-// and the calling convention), honoring the same structural limits the main
-// scheduler enforces.
+// serialState packs several independent ops into each instruction of a
+// serialized block (comp blocks and the calling convention). res reserves
+// the block's structural resources under the same table the list scheduler
+// uses; the rest is ordering state, so packing never reorders hazardous
+// pairs.
 type serialState struct {
-	units map[[2]int]map[mach.Unit]bool // (instr, beat) -> units taken
-	mem   map[[3]int]bool               // (instr, beat, board) mem ref issued
-	imm   map[[3]int]bool               // (instr, beat, pair) shared word used
-	reads map[[2]int]int                // (absBeat, board) register reads
-	wrs   map[[2]int]int                // (absBeat, board) register writes landing
-	bus   map[[2]int]int                // (busKind, absBeat) cross-board copy traffic
+	res *resTable
 
-	// ordering state: packing must not reorder hazardous pairs
 	floor    int          // entry padding boundary: no op before this
 	lastRead map[VReg]int // WAR: a def may not land before a later read
 	// writeEnd[r] is the first instruction index whose reads are safely
@@ -152,17 +140,9 @@ type serialState struct {
 	maxWriteEnd int // latest landing instr of any write (for implicit uses)
 }
 
-// serialDebugNoPack disables comp-block packing (debugging aid).
-var serialDebugNoPack = os.Getenv("TSCHED_NOPACK") != ""
-
-func newSerialState(floor int) *serialState {
+func newSerialState(cfg *mach.Config, floor int) *serialState {
 	return &serialState{
-		units:    map[[2]int]map[mach.Unit]bool{},
-		mem:      map[[3]int]bool{},
-		imm:      map[[3]int]bool{},
-		reads:    map[[2]int]int{},
-		wrs:      map[[2]int]int{},
-		bus:      map[[2]int]int{},
+		res:      &resTable{cfg: cfg},
 		floor:    floor,
 		lastRead: map[VReg]int{},
 		writeEnd: map[VReg]int{},
@@ -190,9 +170,6 @@ func (st *stitcher) resolve() error {
 	for v, pbs := range st.pending {
 		e, ok := st.entrances[v]
 		if !ok {
-			if os.Getenv("TSCHED_DEBUG") != "" {
-				fmt.Fprintf(os.Stderr, "entrances: %v\nvfunc:\n%s\n", st.entrances, st.vf)
-			}
 			return fmt.Errorf("%s: no entrance for vblock %d", st.vf.Name, v)
 		}
 		if jc, ok := st.joinComp[v]; ok {
@@ -353,7 +330,7 @@ func (st *stitcher) serializeOne(sb *SBlock, op VOp) {
 func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 	ss := st.serialRes[sb]
 	if ss == nil {
-		ss = newSerialState(len(sb.Instrs))
+		ss = newSerialState(&st.cfg, len(sb.Instrs))
 		st.serialRes[sb] = ss
 	}
 	// ordering constraints
@@ -407,132 +384,17 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 	if op.IsMem() && ss.lastMem+1 > minIdx {
 		minIdx = ss.lastMem + 1
 	}
-	if serialDebugNoPack && ss.maxUsed+1 > minIdx {
-		minIdx = ss.maxUsed + 1
-	}
-	// candidate units for this op on the pair
-	var cands []struct {
-		u mach.Unit
-		b uint8
-	}
-	switch unitClass(st.vf, &op) {
-	case UBRClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UBR, Pair: uint8(pair)}, 0})
-	case UFAClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFA, Pair: uint8(pair)}, 0})
-	case UFMClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFM, Pair: uint8(pair)}, 0})
-	case UFEitherClass:
-		cands = append(cands, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFA, Pair: uint8(pair)}, 0}, struct {
-			u mach.Unit
-			b uint8
-		}{mach.Unit{Kind: mach.UFM, Pair: uint8(pair)}, 0})
-	default:
-		for _, alu := range []uint8{0, 1} {
-			for _, beat := range []uint8{0, 1} {
-				cands = append(cands, struct {
-					u mach.Unit
-					b uint8
-				}{mach.Unit{Kind: mach.UIALU, Pair: uint8(pair), Idx: alu}, beat})
-			}
-		}
-	}
-	isMem := op.IsMem()
-	needsImmw := false
-	switch op.Kind {
-	case mach.OpBrT, mach.OpJmp, mach.OpCall, mach.OpJmpR, mach.OpHalt, mach.OpSyscall, ir.ConstF:
-		needsImmw = true
-	default:
-		for _, a := range []VArg{op.A, op.B, op.C} {
-			if a.IsImm && !fitsImm6(a) {
-				needsImmw = true
-			}
-		}
-	}
-	nReads := 0
-	for _, a := range []VArg{op.A, op.B, op.C} {
-		if !a.IsImm && a.Reg != VNone {
-			nReads++
-		}
-	}
+	cands := candidateUnits(nil, unitClass(st.vf, &op), uint8(pair))
 	for idx := minIdx; ; idx++ {
-		for _, c := range cands {
-			key := [2]int{idx, int(c.b)}
-			if ss.units[key][c.u] {
+		for _, uc := range cands {
+			issue := 2*idx + int(uc.beat)
+			c := claimFor(&st.cfg, st.vf, st.sf.Home, &op, uc.unit, issue)
+			if !ss.res.fits(&c) {
 				continue
 			}
-			issue := 2*idx + int(c.b)
-			if ss.reads[[2]int{issue, pair}]+nReads > st.cfg.RFReadPorts {
-				continue
-			}
-			if op.Dst != VNone {
-				wb := issue + opLatency(st.cfg, &op)
-				db := pair
-				if h, ok := st.sf.Home[op.Dst]; ok {
-					db = int(h)
-				}
-				if ss.wrs[[2]int{wb, db}]+1 > st.cfg.RFWritePorts {
-					continue
-				}
-				// Cross-board results ride the tagged load buses (§6.3) — a
-				// machine-global resource the per-board port counts miss:
-				// with homes spread over four boards, the write ports admit
-				// eight retires per beat but only four bus deliveries.
-				if db != pair && !op.IsMem() {
-					kind, beats := busILoad, 1
-					if st.vf.Class(op.Dst) == ClassF {
-						kind, beats = busFLoad, 2
-					}
-					full := false
-					for i := 0; i < beats; i++ {
-						if ss.bus[[2]int{kind, wb - i}]+1 > busCap(&st.cfg, kind) {
-							full = true
-							break
-						}
-					}
-					if full {
-						continue
-					}
-				}
-			}
-			if isMem && ss.mem[[3]int{idx, int(c.b), pair}] {
-				continue
-			}
-			if needsImmw && ss.imm[[3]int{idx, int(c.b), pair}] {
-				continue
-			}
-			// an F constant needs both halves of the shared word (§6.5.1)
-			if op.Kind == ir.ConstF && ss.imm[[3]int{idx, 1, pair}] {
-				continue
-			}
-			// commit
-			if ss.units[key] == nil {
-				ss.units[key] = map[mach.Unit]bool{}
-			}
-			ss.units[key][c.u] = true
-			if isMem {
-				ss.mem[[3]int{idx, int(c.b), pair}] = true
-			}
-			if needsImmw {
-				ss.imm[[3]int{idx, int(c.b), pair}] = true
-				if op.Kind == ir.ConstF {
-					ss.imm[[3]int{idx, 1, pair}] = true
-				}
-			}
+			ss.res.take(&c)
 			st.pad(sb, idx+1)
-			slot := SSlot{Unit: c.u, Beat: c.b, Op: op}
+			slot := SSlot{Unit: uc.unit, Beat: uc.beat, Op: op}
 			in := &sb.Instrs[idx]
 			si := len(in.Slots)
 			in.Slots = append(in.Slots, slot)
@@ -543,27 +405,9 @@ func (st *stitcher) placeSerial(sb *SBlock, op VOp, pair, minIdx int) int {
 				in.Slots[si].TargetSym = op.Sym
 			}
 			// ordering bookkeeping
-			ss.reads[[2]int{2*idx + int(c.b), pair}] += nReads
-			if op.Dst != VNone {
-				wb := 2*idx + int(c.b) + opLatency(st.cfg, &op)
-				db := pair
-				if h, ok := st.sf.Home[op.Dst]; ok {
-					db = int(h)
-				}
-				ss.wrs[[2]int{wb, db}]++
-				if db != pair && !op.IsMem() {
-					kind, beats := busILoad, 1
-					if st.vf.Class(op.Dst) == ClassF {
-						kind, beats = busFLoad, 2
-					}
-					for i := 0; i < beats; i++ {
-						ss.bus[[2]int{kind, wb - i}]++
-					}
-				}
-			}
 			if op.Dst != VNone {
 				lat := opLatency(st.cfg, &op)
-				end := (2*idx + int(c.b) + lat + 1) / 2
+				end := (issue + lat + 1) / 2
 				if end <= idx {
 					end = idx + 1
 				}

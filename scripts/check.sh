@@ -31,8 +31,8 @@ echo "== go test -race, focused: simulator tiers/contexts/snapshots + serving la
 go vet ./internal/vliw/ ./internal/serve/
 go test -race -count=1 ./internal/vliw/ ./internal/serve/
 
-echo "== tracelint (static schedule + safety verification: examples x O0/O1/O2 x Trace 7/14/28)"
-go run ./cmd/tracelint -matrix -safety examples/*.mf
+echo "== tracelint (static schedule + safety verification: examples + sort x O0/O1/O2 x Trace 7/14/28)"
+go run ./cmd/tracelint -matrix -safety examples/*.mf testdata/sort.mf
 echo "== tracelint (checked-in fuzz corpus)"
 go run ./cmd/tracelint -corpus internal/fuzz/testdata/fuzz/FuzzDifferential/*
 
