@@ -33,6 +33,10 @@ type resTable struct {
 
 const maxPairs = 4
 
+// resRow is one beat's reservations. Its counters stay far below 256: fits
+// holds each at the machine's port or bus count, which the list scheduler
+// passes only by the few copies it inserts between checking an op and
+// taking its claim.
 type resRow struct {
 	ialu [maxPairs][2]bool // I-ALU slot taken, by pair and ALU
 	fu   [3][maxPairs]bool // FA/FM/BR slot taken, by unit kind and pair; kept on the instruction's beat-0 row
