@@ -1090,12 +1090,19 @@ func (a *analyzer) run(rep *Report) {
 	// until the states stop changing — bounded by narrowRounds and the
 	// transfer budget — is safe and lets a narrowed loop bound propagate
 	// through arbitrarily long loop bodies.
+	//
+	// The sweeps alternate between two state arrays instead of allocating
+	// one per round: a state is tens of KiB, so each array is as large as
+	// everything else the analysis keeps, and a fresh one per round would
+	// leave the live heap depending on when the collector runs.
+	nin := make([]state, n)
+	nvis := make([]bool, n)
 	for round := 0; round < narrowRounds; round++ {
 		if a.budget <= 0 {
 			break // keep the last iterate: still sound, just less precise
 		}
-		nin := make([]state, n)
-		nvis := make([]bool, n)
+		clear(nin)
+		clear(nvis)
 		nin[entry] = a.bootState()
 		nvis[entry] = true
 		for w := 0; w < n; w++ {
@@ -1121,7 +1128,8 @@ func (a *analyzer) run(rep *Report) {
 				stable = false
 			}
 		}
-		in, visited = nin, nvis
+		in, nin = nin, in
+		visited, nvis = nvis, visited
 		if stable {
 			break
 		}
